@@ -3,13 +3,12 @@
 Subcommands: factor, verify, linkage, simulate, trace, mobility, plot.
 Rational parameters are passed as strings like "3/2" (use --b=-1/2 for
 negative fractions).  Exit codes: 0 success, 1 verification failure,
-2 usage or parameter error.
+2 usage, parameter or input-file error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -20,8 +19,6 @@ from . import serialize, svgplot
 from .darboux import (
     DarbouxParams,
     Factorization,
-    circular_translation_check,
-    darboux_c,
     factor_fi,
     factor_fii,
     factor_fiii,
@@ -29,7 +26,7 @@ from .darboux import (
     fiv_companion_fi,
     t_grid,
 )
-from .errors import KinematicsError, SingularChoice
+from .errors import KinematicsError, NotRotational, SingularChoice
 from .linkage import (
     Linkage,
     build_linkage,
@@ -39,8 +36,8 @@ from .linkage import (
     substructure_report,
     trace_point,
 )
-from .motionpoly import MotionPoly
-from .scalars import parse_scalar
+from .motionpoly import factorization_residual
+from .scalars import Scalar, parse_scalar
 
 SINGLE_TYPES = ("FI", "FII", "FIII", "FIV")
 PAIR_TYPES = ("FI+FIII", "FI+FII", "FIV")
@@ -123,18 +120,16 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def _residual_abs_max(diff: MotionPoly):
-    worst = 0
-    for coeff in diff.coeffs:
-        for v in coeff.coeffs():
-            worst = max(worst, abs(v))
-    return worst
-
-
-def _verify_one(f: Factorization) -> Tuple[bool, object]:
-    diff = f.product() - f.cofactor.to_motion() * f.target()
-    residual = _residual_abs_max(diff)
-    return residual == 0, residual
+def _check(f: Factorization) -> Tuple[Optional[str], Scalar]:
+    """Failure message (None on success) and identity residual of one factorization."""
+    residual = factorization_residual(f.factors, f.target(), f.cofactor)
+    try:
+        f.check_rotation_chain()
+    except NotRotational as exc:
+        return f"{f.label} {exc}", residual
+    if residual != 0:
+        return f"{f.label} product differs from cofactor * C", residual
+    return None, residual
 
 
 def _random_params(rng: random.Random) -> DarbouxParams:
@@ -166,37 +161,27 @@ def _random_factorization(kind: str, rng: random.Random) -> Factorization:
 
 def cmd_verify(args) -> int:
     if args.from_file is not None:
-        with open(args.from_file) as fh:
-            f = serialize.factorization_from_json(json.load(fh))
-        ok, residual = _verify_one(f)
-        print(f"max |residual coefficient|: {residual}")
-        if ok:
-            print(f"PASS: {f.label} factors multiply to cofactor * C exactly")
-            return 0
-        print(f"FAIL: {f.label} product differs from cofactor * C")
-        return 1
-
-    if args.random is not None:
+        f = serialize.read_exact_factorization(args.from_file)
+    elif args.random is not None:
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.random):
-            f = _random_factorization(args.type, rng)
-            ok, _ = _verify_one(f)
-            failures += 0 if ok else 1
+            failure, _ = _check(_random_factorization(args.type, rng))
+            failures += 0 if failure is None else 1
         n = args.random
         if failures == 0:
             print(f"PASS: {args.type} exact for {n}/{n} random parameter sets (seed {args.seed})")
             return 0
         print(f"FAIL: {args.type} failed on {failures}/{n} random parameter sets (seed {args.seed})")
         return 1
-
-    f = _build_factorization(args)
-    ok, residual = _verify_one(f)
+    else:
+        f = _build_factorization(args)
+    failure, residual = _check(f)
     print(f"max |residual coefficient|: {residual}")
-    if ok:
+    if failure is None:
         print(f"PASS: {f.label} factors multiply to cofactor * C exactly")
         return 0
-    print(f"FAIL: {f.label} product differs from cofactor * C")
+    print(f"FAIL: {failure}")
     return 1
 
 

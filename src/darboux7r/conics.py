@@ -183,7 +183,7 @@ def trace_fit(
         [centered @ np.asarray(plane.basis_u), centered @ np.asarray(plane.basis_v)]
     )
     # Collinear samples have no spread along the second in-plane direction.
-    if float(np.abs(uv[:, 1]).max()) <= degenerate_extent(diameter):
+    if float(np.abs(uv[:, 1]).max()) <= 1e-12 * diameter:
         return TrajectoryReport(
             n, diameter, plane, plane_ok, None, ConicClass.DEGENERATE, moving_point
         )
@@ -191,7 +191,3 @@ def trace_fit(
     return TrajectoryReport(
         n, diameter, plane, plane_ok, conic, conic.kind, moving_point
     )
-
-
-def degenerate_extent(diameter: float) -> float:
-    return 1e-12 * diameter

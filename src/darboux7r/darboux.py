@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from . import conics
 from .dualquat import (
     DQ_ONE,
+    DisplacementKind,
     DualQuaternion,
     Q_K,
     Q_ZERO,
@@ -37,7 +38,7 @@ from .dualquat import (
     vcross,
     vdot,
 )
-from .errors import DegenerateParams, SingularChoice
+from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
 from .motionpoly import MotionPoly, ONE_POLY, RealPoly, poly_product, t_squared_plus_one
 from .scalars import Scalar, sdiv
 
@@ -55,9 +56,6 @@ class DarbouxParams:
             raise DegenerateParams(
                 "vertical Darboux motion excluded: parameter a must be nonzero"
             )
-
-    def to_float(self) -> "DarbouxParams":
-        return DarbouxParams(float(self.a), float(self.b), float(self.c))
 
 
 def darboux_c(p: DarbouxParams) -> MotionPoly:
@@ -121,8 +119,23 @@ class Factorization:
     def target(self) -> MotionPoly:
         return darboux_c(self.params)
 
-    def verify(self) -> bool:
-        return self.product() == self.cofactor.to_motion() * self.target()
+    def check_rotation_chain(self) -> None:
+        """Raise NotRotational unless the factors can form a revolute chain.
+
+        Every factor must be monic linear with a rotation root, and each
+        identical_adjacent pair must name two equal adjacent factors.
+        """
+        for k, f in enumerate(self.factors):
+            if not f.is_monic_linear():
+                raise NotRotational(f"factor {k} is not monic linear")
+            if (-f.coeff(0)).classify() is not DisplacementKind.ROTATION:
+                raise NotRotational(f"factor {k} root is not a rotation quaternion")
+        n = len(self.factors)
+        for i, j in self.identical_adjacent:
+            if not (0 <= i and j == i + 1 < n and self.factors[i] == self.factors[j]):
+                raise NotRotational(
+                    f"identical_adjacent pair ({i}, {j}) does not name two equal adjacent factors"
+                )
 
     def roots(self) -> Tuple[DualQuaternion, ...]:
         """Root h of each monic linear factor t - h, in factor order."""
@@ -217,8 +230,7 @@ def factor_fiii(
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     cofactor = t_squared_plus_one()
     pc = darboux_c(p) * cofactor
-    q7, rem = pc.divmod_right(q6 * q5 * q4 * q4)
-    assert rem.is_zero() and q7.is_monic_linear()
+    q7 = _exact_quotient(pc, q6 * q5 * q4 * q4)
     return Factorization(
         label,
         p,
@@ -237,6 +249,18 @@ def factor_fiv() -> Factorization:
 def fiv_companion_fi() -> Factorization:
     """The FI side closing the 7R loop with factor_fiv()."""
     return factor_fi(DarbouxParams(1, 2, 0))
+
+
+def _exact_quotient(num: MotionPoly, den: MotionPoly) -> MotionPoly:
+    """Right quotient num / den of a division that must be exact.
+
+    Raises NotADivisor when a remainder is left.  Every divisor used here
+    is monic, so a quotient of degree one is monic linear by construction.
+    """
+    quot, rem = num.divmod_right(den)
+    if not rem.is_zero():
+        raise NotADivisor("a division that must be exact left a remainder")
+    return quot
 
 
 def _solve_affine_pair(
@@ -278,9 +302,7 @@ def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
     u = vcross(d1, d0)
     u = (sdiv(u[0], n2), sdiv(u[1], n2), sdiv(u[2], n2))
     second = MotionPoly.t_minus(DualQuaternion(Quaternion(0, *u), Q_ZERO))
-    first, rem = q.divmod_right(second)
-    assert rem.is_zero() and first.is_monic_linear()
-    return first, second
+    return _exact_quotient(q, second), second
 
 
 def _circularity_conditions(
@@ -291,9 +313,7 @@ def _circularity_conditions(
 
     def quotient_for(s: Scalar, u: Scalar) -> MotionPoly:
         root = DualQuaternion(primal, Quaternion(0, s, u, 0))
-        quot, rem = cubic.divmod_right(MotionPoly.t_minus(root))
-        assert rem.is_zero()
-        return quot
+        return _exact_quotient(cubic, MotionPoly.t_minus(root))
 
     def cond1(s: Scalar, u: Scalar) -> Scalar:
         quot = quotient_for(s, u)
@@ -336,8 +356,7 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
     q4root = DualQuaternion(Q_K, Quaternion(0, x, y, 0))
     q4 = MotionPoly.t_minus(q4root)
     pc = darboux_c(p) * t_squared_plus_one()
-    c2, rem = pc.divmod_right(q4 * q4)
-    assert rem.is_zero()
+    c2 = _exact_quotient(pc, q4 * q4)
     cond1, cond2, quotient_for = _circularity_conditions(c2, -Q_K)
     alpha, beta = _solve_affine_pair(cond1, cond2)
     quot = quotient_for(alpha, beta)
@@ -380,12 +399,6 @@ def t_grid(n: int) -> Tuple[float, ...]:
     return tuple(math.tan(phi / 2) for phi in phi_grid(n))
 
 
-def _orbit(poly: MotionPoly, point: Sequence[float], ts: Sequence[float]):
-    pf = poly.to_float()
-    px, py, pz = (float(v) for v in point)
-    return [pf.eval(t).act((1.0, px, py, pz))[1:] for t in ts]
-
-
 def circular_translation_check(
     p: DarbouxParams,
     points: Sequence[Sequence[Scalar]] = _DEFAULT_ORBIT_POINTS,
@@ -413,7 +426,7 @@ def circular_translation_check(
     ts = t_grid(n_samples)
     radii = []
     for pt in points:
-        rep = conics.trace_fit(_orbit(quot, pt, ts))
+        rep = conics.trace_fit(quot.orbit(pt, ts))
         if rep.conic_class is not conics.ConicClass.CIRCLE or rep.conic is None:
             radii.append(float("nan"))
         else:
@@ -422,12 +435,11 @@ def circular_translation_check(
 
     q3root = -q3.coeff(0)
     q3p = q3root + DualQuaternion(Q_ZERO, Quaternion(0, 0, perturbation, 0))
-    quot_p, rem_p = c.divmod_right(MotionPoly.t_minus(q3p))
-    assert rem_p.is_zero()
+    quot_p = _exact_quotient(c, MotionPoly.t_minus(q3p))
     axes = []
     devs = []
     for pt in points:
-        rep = conics.trace_fit(_orbit(quot_p, pt, ts))
+        rep = conics.trace_fit(quot_p.orbit(pt, ts))
         if rep.conic is None or rep.conic.semi_major is None:
             axes.append((float("nan"), float("nan")))
             devs.append(float("nan"))

@@ -37,10 +37,6 @@ def vsub(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
-def vscale(u: Vec3, s: Scalar) -> Vec3:
-    return (u[0] * s, u[1] * s, u[2] * s)
-
-
 def vdot(u: Vec3, v: Vec3) -> Scalar:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -65,14 +61,6 @@ class Quaternion:
     x: Scalar
     y: Scalar
     z: Scalar
-
-    @classmethod
-    def from_scalar_vector(cls, s: Scalar, v: Vec3) -> "Quaternion":
-        return cls(s, v[0], v[1], v[2])
-
-    @classmethod
-    def from_vector(cls, v: Vec3) -> "Quaternion":
-        return cls(0, v[0], v[1], v[2])
 
     @property
     def vector(self) -> Vec3:
@@ -143,8 +131,6 @@ class Quaternion:
 
 Q_ZERO = Quaternion(0, 0, 0, 0)
 Q_ONE = Quaternion(1, 0, 0, 0)
-Q_I = Quaternion(0, 1, 0, 0)
-Q_J = Quaternion(0, 0, 1, 0)
 Q_K = Quaternion(0, 0, 0, 1)
 
 
@@ -307,25 +293,33 @@ class DualQuaternion:
 DQ_ONE = DualQuaternion.identity()
 
 
-def _proportional(u: Sequence[Scalar], v: Sequence[Scalar], tol: float) -> bool:
-    """Whether two coefficient vectors agree up to a scalar multiple."""
-    if tol == 0:
-        # All 2x2 minors vanish; exact and sign-free.
-        n = len(u)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if u[a] * v[b] - u[b] * v[a] != 0:
-                    return False
-        return True
-    nu = math.sqrt(sum(float(c) * float(c) for c in u))
-    nv = math.sqrt(sum(float(c) * float(c) for c in v))
+def _minors_vanish(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
+    """Whether all 2x2 minors of the pair vanish: exact and sign-free proportionality."""
+    n = len(u)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if u[a] * v[b] - u[b] * v[a] != 0:
+                return False
+    return True
+
+
+def _ray_gap(u: Sequence[Scalar], v: Sequence[Scalar]) -> float:
+    """Float distance between the rays of two coefficient vectors.
+
+    Both vectors are scaled to unit length and compared with the sign
+    resolved to the closer match; 0 means the same ray.
+    """
+    u = [float(c) for c in u]
+    v = [float(c) for c in v]
+    nu = math.sqrt(sum(c * c for c in u))
+    nv = math.sqrt(sum(c * c for c in v))
     if nu == 0 or nv == 0:
-        return nu == nv
-    uu = [float(c) / nu for c in u]
-    vv = [float(c) / nv for c in v]
-    same = max(abs(a - b) for a, b in zip(uu, vv))
-    flip = max(abs(a + b) for a, b in zip(uu, vv))
-    return min(same, flip) <= tol
+        return 0.0 if nu == nv else float("inf")
+    u = [c / nu for c in u]
+    v = [c / nv for c in v]
+    same = max(abs(a - b) for a, b in zip(u, v))
+    flip = max(abs(a + b) for a, b in zip(u, v))
+    return min(same, flip)
 
 
 @dataclass(frozen=True)
@@ -345,15 +339,13 @@ class AxisLine:
         return (sdiv(c[0], n2), sdiv(c[1], n2), sdiv(c[2], n2))
 
     def is_parallel_to(self, other: "AxisLine", tol: float = 0.0) -> bool:
-        return _proportional(self.direction, other.direction, tol)
+        u, v = self.direction, other.direction
+        return _minors_vanish(u, v) if tol == 0 else _ray_gap(u, v) <= tol
 
     def same_line(self, other: "AxisLine", tol: float = 0.0) -> bool:
         u = tuple(self.direction) + tuple(self.moment)
         v = tuple(other.direction) + tuple(other.moment)
-        return _proportional(u, v, tol)
-
-    def transformed_by(self, pose: DualQuaternion) -> "AxisLine":
-        return transform_axis(pose, self)
+        return _minors_vanish(u, v) if tol == 0 else _ray_gap(u, v) <= tol
 
     def to_float(self) -> "AxisLine":
         return AxisLine(
@@ -366,33 +358,12 @@ def projectively_equal(h1: DualQuaternion, h2: DualQuaternion) -> bool:
     """Exact equality up to a scalar multiple (all 2x2 coefficient minors vanish)."""
     if h1.is_zero() or h2.is_zero():
         return False
-    u = h1.coeffs()
-    v = h2.coeffs()
-    for a in range(8):
-        for b in range(a + 1, 8):
-            if u[a] * v[b] - u[b] * v[a] != 0:
-                return False
-    return True
+    return _minors_vanish(h1.coeffs(), h2.coeffs())
 
 
 def projective_distance(h1: DualQuaternion, h2: DualQuaternion) -> float:
-    """Float distance between the rays of two dual quaternions.
-
-    Both coefficient vectors are scaled to unit length and compared with
-    the sign resolved to the closer match; 0 means the same projective
-    element.
-    """
-    u = [float(c) for c in h1.coeffs()]
-    v = [float(c) for c in h2.coeffs()]
-    nu = math.sqrt(sum(c * c for c in u))
-    nv = math.sqrt(sum(c * c for c in v))
-    if nu == 0 or nv == 0:
-        return 0.0 if nu == nv else float("inf")
-    u = [c / nu for c in u]
-    v = [c / nv for c in v]
-    same = max(abs(a - b) for a, b in zip(u, v))
-    flip = max(abs(a + b) for a, b in zip(u, v))
-    return min(same, flip)
+    """Float distance between the rays of two dual quaternions (0: same element)."""
+    return _ray_gap(h1.coeffs(), h2.coeffs())
 
 
 def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:

@@ -51,3 +51,10 @@ class NotRotational(KinematicsError):
 
 class InsufficientSamples(KinematicsError):
     """Too few samples for a stable plane or conic fit."""
+
+
+class MalformedInput(KinematicsError):
+    """An input file is not JSON, misses a field, or holds a field of the wrong type.
+
+    A float where an exact scalar is required counts as a wrong type.
+    """

@@ -27,14 +27,13 @@ from .darboux import Factorization
 from .dualquat import (
     AxisLine,
     DQ_ONE,
-    DisplacementKind,
     DualQuaternion,
     projective_distance,
     projectively_equal,
     transform_axis,
 )
 from .errors import ClosureFailure, NotRotational
-from .motionpoly import MotionPoly, poly_product
+from .motionpoly import MotionPoly
 from .scalars import Scalar, is_exact
 
 RANK_RTOL = 1e-8
@@ -84,17 +83,13 @@ def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
 
 
 def _chain_joints(f: Factorization, side: str) -> List[Joint]:
+    f.check_rotation_chain()
+    poses_home = chain_poses(f, 0)
     joints = []
     for run in _runs_of_equal(f.factors):
-        factor = f.factors[run[0]]
-        if not factor.is_monic_linear():
-            raise NotRotational("every factor must be monic linear")
-        root = -factor.coeff(0)
-        if root.classify() is not DisplacementKind.ROTATION:
-            raise NotRotational("factor root is not a rotation quaternion")
+        root = -f.factors[run[0]].coeff(0)
         reference = root.axis()
-        pose_home = poly_product(f.factors[: run[0]]).eval(0)
-        home = transform_axis(pose_home, reference)
+        home = transform_axis(poses_home[run[0]], reference)
         joints.append(Joint(side, run, root, reference, home))
     return joints
 
@@ -143,20 +138,22 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     return math.pi - 2 * math.atan((float(t) - h0) / vn)
 
 
-def _prefix_values(f: Factorization, t: Scalar) -> List[DualQuaternion]:
-    return chain_poses(f, t)
+def _axes_from_poses(
+    linkage: Linkage, poses_a: Sequence[DualQuaternion], poses_b: Sequence[DualQuaternion]
+) -> Tuple[AxisLine, ...]:
+    """World axis line of every joint, in cycle order, from both chains' link poses."""
+    out = []
+    for joint in linkage.joints:
+        poses = poses_a if joint.chain == "A" else poses_b
+        out.append(transform_axis(poses[joint.factor_indices[0]], joint.reference_axis))
+    return tuple(out)
 
 
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     """World axis line of every joint at parameter t, in cycle order."""
-    pre_a = _prefix_values(linkage.chain_a, t)
-    pre_b = _prefix_values(linkage.chain_b, t)
-    out = []
-    for joint in linkage.joints:
-        prefix = pre_a if joint.chain == "A" else pre_b
-        pose = prefix[joint.factor_indices[0]]
-        out.append(transform_axis(pose, joint.reference_axis))
-    return tuple(out)
+    return _axes_from_poses(
+        linkage, chain_poses(linkage.chain_a, t), chain_poses(linkage.chain_b, t)
+    )
 
 
 def screw_matrix(axes: Sequence[AxisLine]) -> np.ndarray:
@@ -338,23 +335,16 @@ def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[ConfigSample, ...]
     """Sample the loop at the given parameter values."""
     out = []
     for t in ts:
-        pre_a = _prefix_values(linkage.chain_a, t)
-        pre_b = _prefix_values(linkage.chain_b, t)
-        axes = []
-        angles = []
-        for joint in linkage.joints:
-            prefix = pre_a if joint.chain == "A" else pre_b
-            axes.append(transform_axis(prefix[joint.factor_indices[0]], joint.reference_axis))
-            angles.append(joint.multiplicity * joint_angle(joint.root, t))
-        res = projective_distance(pre_a[-1], pre_b[-1])
+        poses_a = chain_poses(linkage.chain_a, t)
+        poses_b = chain_poses(linkage.chain_b, t)
         out.append(
             ConfigSample(
                 t=t,
-                poses_a=tuple(pre_a),
-                poses_b=tuple(pre_b),
-                axes=tuple(axes),
-                angles=tuple(angles),
-                closure_residual=res,
+                poses_a=tuple(poses_a),
+                poses_b=tuple(poses_b),
+                axes=_axes_from_poses(linkage, poses_a, poses_b),
+                angles=tuple(j.multiplicity * joint_angle(j.root, t) for j in linkage.joints),
+                closure_residual=projective_distance(poses_a[-1], poses_b[-1]),
             )
         )
     return tuple(out)
@@ -374,12 +364,9 @@ def trace_point(
         poly = source.product()
     else:
         poly = source
-    pf = poly.to_float()
-    px, py, pz = (float(v) for v in point)
-    orbit = [pf.eval(float(t)).act((1.0, px, py, pz))[1:] for t in ts]
     return conics.trace_fit(
-        orbit,
+        poly.orbit(point, ts),
         plane_rtol=plane_rtol,
         circle_rtol=circle_rtol,
-        moving_point=(px, py, pz),
+        moving_point=tuple(float(v) for v in point),
     )

@@ -12,9 +12,9 @@ factors t - h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .dualquat import DQ_ONE, DualQuaternion, Quaternion, viszero
+from .dualquat import DQ_ONE, DualQuaternion, viszero
 from .errors import NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact
 
@@ -101,11 +101,6 @@ class MotionPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @classmethod
-    def from_coeff_rows(cls, rows: Iterable[Sequence[Scalar]]) -> "MotionPoly":
-        """Build from rows of eight scalars, row k the degree-k coefficient."""
-        return cls(tuple(DualQuaternion.from_coeffs(r) for r in rows))
 
     @classmethod
     def t_minus(cls, h: DualQuaternion) -> "MotionPoly":
@@ -203,6 +198,14 @@ class MotionPoly:
             acc = acc.scale(t) + c
         return acc
 
+    def orbit(
+        self, point: Sequence[Scalar], ts: Sequence[Scalar]
+    ) -> List[Tuple[float, float, float]]:
+        """Float images of a point under the motion at each parameter value."""
+        pf = self.to_float()
+        x = (1.0,) + tuple(float(v) for v in point)
+        return [pf.eval(float(t)).act(x)[1:] for t in ts]
+
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
         """Right evaluation: sum of coeffs[k] * h^k with powers on the right.
 
@@ -291,13 +294,21 @@ def right_factor_from_quadratic(c: MotionPoly, m: RealPoly) -> DualQuaternion:
     h = -(r1.inverse() * r0)
     if not h.is_float():
         factor = MotionPoly.t_minus(h)
-        assert factor * factor.conj() == m.to_motion()
-        assert c.divmod_right(factor)[1].is_zero()
+        if factor.norm_poly() != m.to_motion() or not c.divmod_right(factor)[1].is_zero():
+            raise NotADivisor("extracted t - h does not right-divide c with norm m")
     return h
+
+
+def factorization_residual(
+    factors: Sequence[MotionPoly], target: MotionPoly, cofactor: RealPoly = ONE_POLY
+) -> Scalar:
+    """Largest |coefficient| of product(factors) - cofactor * target."""
+    diff = poly_product(factors) - cofactor.to_motion() * target
+    return max((abs(v) for c in diff.coeffs for v in c.coeffs()), default=0)
 
 
 def verify_factorization(
     factors: Sequence[MotionPoly], target: MotionPoly, cofactor: RealPoly = ONE_POLY
 ) -> bool:
     """Check the exact identity product(factors) = cofactor * target."""
-    return poly_product(factors) == cofactor.to_motion() * target
+    return factorization_residual(factors, target, cofactor) == 0

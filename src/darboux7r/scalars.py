@@ -36,7 +36,3 @@ def format_scalar(x: Scalar) -> Union[str, float]:
     if is_exact(x):
         return str(Fraction(x))
     return float(x)
-
-
-def to_float(x: Scalar) -> float:
-    return float(x)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .conics import TrajectoryReport
 from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion
+from .errors import MalformedInput
 from .linkage import ConfigSample, Linkage, MobilityReport
 from .motionpoly import MotionPoly, RealPoly
 from .scalars import Scalar, format_scalar, is_exact
@@ -104,6 +105,13 @@ def factorization_to_json(f: Factorization) -> Dict[str, Any]:
     }
 
 
+def _index_pair(pair: Sequence) -> Tuple[int, int]:
+    i, j = pair
+    if type(i) is not int or type(j) is not int:
+        raise TypeError(f"expected a pair of integer factor indices, got {pair!r}")
+    return (i, j)
+
+
 def factorization_from_json(d: Dict[str, Any]) -> Factorization:
     free = d.get("free_xy")
     return Factorization(
@@ -112,8 +120,31 @@ def factorization_from_json(d: Dict[str, Any]) -> Factorization:
         factors=tuple(motionpoly_from_json(q) for q in d["factors"]),
         cofactor=realpoly_from_json(d["cofactor"]),
         free_xy=None if free is None else tuple(scalar_from_json(v) for v in free),
-        identical_adjacent=tuple(tuple(pair) for pair in d["identical_adjacent"]),
+        identical_adjacent=tuple(_index_pair(pair) for pair in d["identical_adjacent"]),
     )
+
+
+def read_exact_factorization(path: str) -> Factorization:
+    """Load a factorization file whose scalars are all exact.
+
+    Invalid JSON, a missing key, a field of the wrong type or a float
+    scalar raise MalformedInput, so bad input is never mistaken for a
+    failed identity.
+    """
+    try:
+        with open(path) as fh:
+            f = factorization_from_json(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # json.JSONDecodeError and every KinematicsError are ValueErrors.
+        raise MalformedInput(
+            f"{path}: not a factorization file: {type(exc).__name__}: {exc}"
+        ) from exc
+    scalars = [f.params.a, f.params.b, f.params.c, *f.cofactor.coeffs, *(f.free_xy or ())]
+    if any(q.is_float() for q in f.factors) or not all(is_exact(v) for v in scalars):
+        raise MalformedInput(
+            f"{path}: exact verification needs rational strings or integers, not floats"
+        )
+    return f
 
 
 def closure_certificate(linkage: Linkage) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from .darboux import t_grid
 from .errors import KinematicsError
 from .linkage import Linkage, axes_at
 
@@ -73,13 +74,7 @@ def render_linkage(
 
     trace_pts: List[Tuple[float, float, float]] = []
     if trace_point is not None:
-        from .darboux import t_grid
-
-        poly = linkage.chain_a.product().to_float()
-        x = (1.0, float(trace_point[0]), float(trace_point[1]), float(trace_point[2]))
-        for t in t_grid(trace_samples):
-            y = poly.eval(t).act(x)
-            trace_pts.append((y[1] / y[0], y[2] / y[0], y[3] / y[0]))
+        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(trace_samples))
 
     # Shared bounding box so all frames use one scale.
     pts2: List[Tuple[float, float]] = []

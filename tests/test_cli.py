@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
-from darboux7r import serialize
+from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, serialize
 from darboux7r.cli import main
 
 
@@ -178,3 +181,98 @@ def test_sampling_flags_must_pair(capsys):
     code, _, err = run(capsys, "simulate", "--t-min", "-2", "--samples", "4")
     assert code == 2
     assert "t-min" in err or "t-max" in err
+
+
+def test_plot_point_overlay_one_orbit_per_frame(capsys):
+    code, out, _ = run(capsys, "plot", "--type", "FIV", "--samples", "3", "--point", "1,1/2,0")
+    assert code == 0
+    frames = out.split("<g data-frame=")[1:]
+    assert len(frames) == 3
+    for frame in frames:
+        paths = re.findall(r'<path d="([^"]*) Z"', frame)
+        assert len(paths) == 1
+        assert len(re.findall(r"[ML]-?\d", paths[0])) == 120  # trace_samples vertices
+    # Pinned SVG of this input, so changes to the orbit sampler stay byte-stable.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be913cfe58e1dd31276d97bca79825944c28b5e44a24aa3660b73bc0c6ceb337"
+    )
+
+
+PARAMS = DarbouxParams(Fraction(3, 2), Fraction(-1), Fraction(2, 5))
+
+
+def verify_doc(tmp_path, capsys, doc):
+    path = tmp_path / "f.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return run(capsys, "verify", "--from-file", str(path))
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_verify_file_not_json_exits_two(tmp_path, capsys):
+    assert_input_error(*verify_doc(tmp_path, capsys, "{not json"))
+
+
+def test_verify_file_missing_key_exits_two(tmp_path, capsys):
+    doc = serialize.factorization_to_json(factor_fi(PARAMS))
+    del doc["cofactor"]
+    code, out, err = verify_doc(tmp_path, capsys, doc)
+    assert_input_error(code, out, err)
+    assert "cofactor" in err
+
+
+def test_verify_file_wrong_field_type_exits_two(tmp_path, capsys):
+    doc = serialize.factorization_to_json(factor_fi(PARAMS))
+    assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, factors=5)))
+    assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, identical_adjacent=[["0", "1"]])))
+    assert_input_error(*verify_doc(tmp_path, capsys, [doc]))
+
+
+def test_verify_file_float_scalars_exit_two(tmp_path, capsys):
+    def to_floats(v):
+        if isinstance(v, str):
+            return float(Fraction(v))
+        if isinstance(v, list):
+            return [to_floats(x) for x in v]
+        return v
+
+    doc = serialize.factorization_to_json(factor_fi(PARAMS))
+    for key in ("params", "cofactor", "factors"):
+        bad = dict(doc)
+        bad[key] = (
+            {k: to_floats(v) for k, v in doc[key].items()} if key == "params" else to_floats(doc[key])
+        )
+        code, out, err = verify_doc(tmp_path, capsys, bad)
+        assert_input_error(code, out, err)
+        assert "float" in err
+
+
+def test_verify_file_rejects_c_as_single_factor(tmp_path, capsys):
+    doc = serialize.factorization_to_json(factor_fi(PARAMS))
+    doc["factors"] = [serialize.motionpoly_to_json(darboux_c(PARAMS))]
+    code, out, _ = verify_doc(tmp_path, capsys, doc)
+    assert code == 1
+    assert "max |residual coefficient|: 0" in out  # the product alone would pass
+    assert "FAIL: FI factor 0 is not monic linear" in out
+
+
+def test_verify_file_rejects_non_rotation_root(tmp_path, capsys):
+    doc = serialize.factorization_to_json(factor_fi(PARAMS))
+    doc["factors"][0][0][4] = "1"  # dual scalar part: the root is no longer a rotation
+    code, out, _ = verify_doc(tmp_path, capsys, doc)
+    assert code == 1
+    assert "FAIL: FI factor 0 root is not a rotation quaternion" in out
+
+
+def test_verify_file_rejects_wrong_identical_adjacent(tmp_path, capsys):
+    doc = serialize.factorization_to_json(factor_fii(PARAMS))
+    assert doc["identical_adjacent"] == [[1, 2]]
+    for pairs in ([[0, 1]], [[1, 3]], [[4, 5]]):
+        code, out, _ = verify_doc(tmp_path, capsys, dict(doc, identical_adjacent=pairs))
+        assert code == 1
+        assert f"FAIL: FII identical_adjacent pair ({pairs[0][0]}, {pairs[0][1]})" in out
