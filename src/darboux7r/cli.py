@@ -31,6 +31,7 @@ from .linkage import (
     Linkage,
     build_linkage,
     mobility_at,
+    mobility_many,
     parallel_groups,
     simulate,
     substructure_report,
@@ -93,11 +94,22 @@ def _build_linkage(args) -> Linkage:
     return build_linkage(factor_fi(params), factor_fii(params))
 
 
+# From |t| = 1e16 on, pi - 2*atan(t) rounds to its limit at t = +-inf in
+# float64, so larger parameter values add no configuration; far larger
+# ones overflow the sampled poses.
+T_ABS_MAX = 1e16
+
+
 def _sample_ts(args) -> List[float]:
     if args.samples < 1:
         raise KinematicsError("--samples must be at least 1")
     if (args.t_min is None) != (args.t_max is None):
         raise KinematicsError("--t-min and --t-max must be given together")
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if value is not None and not abs(value) <= T_ABS_MAX:  # NaN fails too
+            raise KinematicsError(
+                f"{flag} must be a finite number with |t| <= {T_ABS_MAX:g}, got {value!r}"
+            )
     if args.t_min is not None:
         if args.samples == 1:
             return [0.5 * (args.t_min + args.t_max)]
@@ -205,8 +217,8 @@ def cmd_linkage(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    linkage = _build_linkage(args)
-    samples = simulate(linkage, _sample_ts(args))
+    ts = _sample_ts(args)
+    samples = simulate(_build_linkage(args), ts)
     if args.format == "csv":
         _emit(serialize.samples_to_csv(samples), args.out)
     else:
@@ -214,13 +226,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _tol(args) -> float:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise KinematicsError(f"--tol must be a finite number above 0, got {args.tol!r}")
+    return args.tol
+
+
 def cmd_trace(args) -> int:
+    ts, tol = _sample_ts(args), _tol(args)
     linkage = _build_linkage(args)
-    ts = _sample_ts(args)
     points = args.point or [(0.0, 0.0, 0.0)]
-    reports = [
-        trace_point(linkage, pt, ts, plane_rtol=args.tol) for pt in points
-    ]
+    reports = [trace_point(linkage, pt, ts, plane_rtol=tol) for pt in points]
     docs = [serialize.trajectory_to_json(r) for r in reports]
     _emit(serialize.dump_json(docs[0] if len(docs) == 1 else docs), args.out)
     return 0
@@ -242,8 +258,8 @@ def _generic_ts(args) -> List[float]:
 
 
 def cmd_mobility(args) -> int:
-    linkage = _build_linkage(args)
-    reports = [mobility_at(linkage, t, tol=args.tol) for t in _generic_ts(args)]
+    ts, tol = _generic_ts(args), _tol(args)
+    reports = mobility_many(_build_linkage(args), ts, tol=tol)
     if args.format == "csv":
         _emit(serialize.mobility_to_csv(reports), args.out)
     else:
@@ -252,8 +268,8 @@ def cmd_mobility(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    linkage = _build_linkage(args)
     ts = _sample_ts(args)
+    linkage = _build_linkage(args)
     point = args.point[0] if args.point else None
     svg = svgplot.render_linkage(linkage, ts, view=args.view, trace_point=point)
     _emit(svg, args.out)

@@ -102,6 +102,17 @@ def darboux_point_path(
     )
 
 
+# Factor count and doubled-factor pairs of each family: FI has three
+# distinct rotations; FII doubles its middle factor, FIII (and its anchor
+# instance FIV) its last one.
+CHAIN_SHAPES = {
+    "FI": (3, ()),
+    "FII": (5, ((1, 2),)),
+    "FIII": (5, ((3, 4),)),
+    "FIV": (5, ((3, 4),)),
+}
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Ordered factors with product(factors) = cofactor * darboux_c(params)."""
@@ -122,8 +133,9 @@ class Factorization:
     def check_rotation_chain(self) -> None:
         """Raise NotRotational unless the factors can form a revolute chain.
 
-        Every factor must be monic linear with a rotation root, and each
-        identical_adjacent pair must name two equal adjacent factors.
+        Every factor must be monic linear with a rotation root, each
+        identical_adjacent pair must name two equal adjacent factors, and
+        the factor count and pairs must be those of the label's family.
         """
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
@@ -136,6 +148,14 @@ class Factorization:
                 raise NotRotational(
                     f"identical_adjacent pair ({i}, {j}) does not name two equal adjacent factors"
                 )
+        if self.label not in CHAIN_SHAPES:
+            raise NotRotational(f"label is not one of {', '.join(CHAIN_SHAPES)}")
+        count, pairs = CHAIN_SHAPES[self.label]
+        if (n, tuple(self.identical_adjacent)) != (count, pairs):
+            raise NotRotational(
+                f"has {n} factors with identical_adjacent {list(self.identical_adjacent)}; "
+                f"the label needs {count} factors with {list(pairs)}"
+            )
 
     def roots(self) -> Tuple[DualQuaternion, ...]:
         """Root h of each monic linear factor t - h, in factor order."""

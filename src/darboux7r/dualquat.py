@@ -10,14 +10,21 @@ norm (n1 = 0) and nonzero primal part act on points of projective
 Coefficients are either exact rationals (int / Fraction) or floats; all
 formulas are polynomial except for a few divisions routed through
 scalars.sdiv, so both backends share the code.
+
+The float64 array kernel at the end of the module (dq_mul_many,
+act_many, transform_axis_many; motionpoly.poses_many builds on it)
+evaluates many parameter values at once.  It repeats the scalar formulas
+operation by operation on (..., 8) arrays, so it gives the scalar float
+lane's values bit for bit, and it keeps the preconditions of act.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from .errors import NotADisplacement, NotARotation, ZeroPrimal
 from .scalars import Scalar, is_exact, sdiv
@@ -303,23 +310,31 @@ def _minors_vanish(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
     return True
 
 
-def _ray_gap(u: Sequence[Scalar], v: Sequence[Scalar]) -> float:
-    """Float distance between the rays of two coefficient vectors.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, added left to right like the scalar formulas."""
+    acc = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        acc = acc + x[..., i] * y[..., i]
+    return acc
+
+
+def ray_gap(u, v) -> np.ndarray:
+    """Float distance between the rays of coefficient vectors, over the last axis.
 
     Both vectors are scaled to unit length and compared with the sign
-    resolved to the closer match; 0 means the same ray.
+    resolved to the closer match; 0 means the same ray.  A zero vector is
+    at distance 0 from another zero vector and inf from anything else.
     """
-    u = [float(c) for c in u]
-    v = [float(c) for c in v]
-    nu = math.sqrt(sum(c * c for c in u))
-    nv = math.sqrt(sum(c * c for c in v))
-    if nu == 0 or nv == 0:
-        return 0.0 if nu == nv else float("inf")
-    u = [c / nu for c in u]
-    v = [c / nv for c in v]
-    same = max(abs(a - b) for a, b in zip(u, v))
-    flip = max(abs(a + b) for a, b in zip(u, v))
-    return min(same, flip)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = np.sqrt(_dot(u, u))[..., None]
+    nv = np.sqrt(_dot(v, v))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = u / nu
+        v = v / nv
+    gap = np.minimum(np.abs(u - v).max(axis=-1), np.abs(u + v).max(axis=-1))
+    nu, nv = nu[..., 0], nv[..., 0]
+    return np.where((nu == 0) | (nv == 0), np.where(nu == nv, 0.0, np.inf), gap)
 
 
 @dataclass(frozen=True)
@@ -340,18 +355,12 @@ class AxisLine:
 
     def is_parallel_to(self, other: "AxisLine", tol: float = 0.0) -> bool:
         u, v = self.direction, other.direction
-        return _minors_vanish(u, v) if tol == 0 else _ray_gap(u, v) <= tol
+        return _minors_vanish(u, v) if tol == 0 else float(ray_gap(u, v)) <= tol
 
     def same_line(self, other: "AxisLine", tol: float = 0.0) -> bool:
         u = tuple(self.direction) + tuple(self.moment)
         v = tuple(other.direction) + tuple(other.moment)
-        return _minors_vanish(u, v) if tol == 0 else _ray_gap(u, v) <= tol
-
-    def to_float(self) -> "AxisLine":
-        return AxisLine(
-            tuple(float(c) for c in self.direction),
-            tuple(float(c) for c in self.moment),
-        )
+        return _minors_vanish(u, v) if tol == 0 else float(ray_gap(u, v)) <= tol
 
 
 def projectively_equal(h1: DualQuaternion, h2: DualQuaternion) -> bool:
@@ -363,7 +372,7 @@ def projectively_equal(h1: DualQuaternion, h2: DualQuaternion) -> bool:
 
 def projective_distance(h1: DualQuaternion, h2: DualQuaternion) -> float:
     """Float distance between the rays of two dual quaternions (0: same element)."""
-    return _ray_gap(h1.coeffs(), h2.coeffs())
+    return float(ray_gap(h1.coeffs(), h2.coeffs()))
 
 
 def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
@@ -378,3 +387,80 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
     q1 = pose.act((1, p1[0], p1[1], p1[2]))[1:]
     q2 = pose.act((1, p2[0], p2[1], p2[2]))[1:]
     return AxisLine(vsub(q2, q1), vcross(q1, q2))
+
+
+# --- float64 array kernel ------------------------------------------------
+#
+# A dual quaternion is a row [h0..h7] (primal then dual), a quaternion a
+# row [w, x, y, z] and a projective point a row [x0..x3]; leading axes
+# broadcast.  Each formula repeats its scalar counterpart operation by
+# operation.
+
+DQ_ONE_ROW = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
+        (
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ),
+        axis=-1,
+    )
+
+
+def dq_mul_many(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Products h * g of dual quaternion rows, as DualQuaternion.__mul__."""
+    p1, d1, p2, d2 = h[..., :4], h[..., 4:], g[..., :4], g[..., 4:]
+    return np.concatenate((_qmul(p1, p2), _qmul(p1, d2) + _qmul(d1, p2)), axis=-1)
+
+
+def act_many(h, points) -> np.ndarray:
+    """Images of projective points under displacement rows, as DualQuaternion.act.
+
+    Raises ZeroPrimal if a sample's primal norm n0 is 0 and
+    NotADisplacement if a sample's norm is not real to the float
+    tolerance of has_real_norm; a NaN sample fails that test.
+    """
+    h = np.asarray(h, dtype=float)
+    x = np.asarray(points, dtype=float)
+    if x.shape[-1] != 4:
+        raise ValueError("expected projective 4-vectors")
+    p, d = h[..., :4], h[..., 4:]
+    n0 = _dot(p, p)
+    n1 = 2 * _dot(p, d)
+    if np.any(n0 == 0):
+        raise ZeroPrimal("cannot act with zero primal part")
+    if not np.all(np.abs(n1) <= _FLOAT_REAL_NORM_RTOL * np.maximum(1.0, np.abs(n0))):
+        raise NotADisplacement("norm has a nonzero dual part")
+    x0 = x[..., :1]
+    xq = np.concatenate((np.zeros_like(x0), x[..., 1:]), axis=-1)
+    pc = p * _CONJ
+    rotated = _qmul(_qmul(p, xq), pc)
+    translated = _qmul(p, d * _CONJ) - _qmul(d, pc)
+    y = rotated + translated * x0
+    image = y[..., 1:] / n0[..., None]
+    return np.concatenate((np.broadcast_to(x0, image.shape[:-1] + (1,)), image), axis=-1)
+
+
+def transform_axis_many(poses: np.ndarray, axes: Sequence[AxisLine]) -> np.ndarray:
+    """Lines transported by poses, as transform_axis: rows [direction, moment].
+
+    poses has shape (..., n, 8) with one pose per line of axes; the
+    result has shape (..., n, 6).
+    """
+    pts = []
+    for ax in axes:
+        p1 = ax.point_nearest_origin()  # exact on exact axes, rounded once
+        pts.append([[1.0, *map(float, p1)], [1.0, *map(float, vadd(p1, ax.direction))]])
+    q = act_many(poses[..., None, :], pts)
+    q1, q2 = q[..., 0, 1:], q[..., 1, 1:]
+    u0, u1, u2 = q1[..., 0], q1[..., 1], q1[..., 2]
+    v0, v1, v2 = q2[..., 0], q2[..., 1], q2[..., 2]
+    moment = np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
+    return np.concatenate((q2 - q1, moment), axis=-1)

@@ -12,6 +12,11 @@ factor order, then chain B coupler back to base (reverse factor order).
 The pose of link j at parameter t is the product of its chain's first j
 factor values; axes are stored in the chain's reference placement and
 transported by those poses.
+
+Two lanes evaluate them: chain_poses and axes_at take one exact (or
+float) parameter through the scalar algebra, while simulate, mobility,
+closure_residual and trace sample float64 arrays of parameters through
+the batched kernel (motionpoly.poses_many, dualquat.transform_axis_many).
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ from .dualquat import (
     AxisLine,
     DQ_ONE,
     DualQuaternion,
-    projective_distance,
     projectively_equal,
+    ray_gap,
     transform_axis,
+    transform_axis_many,
 )
 from .errors import ClosureFailure, NotRotational
-from .motionpoly import MotionPoly
+from .motionpoly import MotionPoly, poses_many
 from .scalars import Scalar, is_exact
 
 RANK_RTOL = 1e-8
@@ -122,6 +128,19 @@ def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:
     return poses
 
 
+def _angles(roots: Sequence[DualQuaternion], ts: Sequence[Scalar]) -> np.ndarray:
+    """Rotation angles of t - root for every t and root, shape (len(ts), len(roots))."""
+    h0, vn = [], []
+    for root in roots:
+        v = root.p.vector
+        n = math.sqrt(sum(float(c) * float(c) for c in v))
+        if n == 0:
+            raise NotRotational("root has no rotational part")
+        h0.append(float(root.p.w))
+        vn.append(n)
+    return math.pi - 2 * np.arctan((np.asarray(ts, dtype=float)[:, None] - h0) / vn)
+
+
 def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     """Rotation angle of a monic linear factor's value at t, in (0, 2*pi).
 
@@ -130,41 +149,46 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     0 and 2*pi.
     """
     root = factor if isinstance(factor, DualQuaternion) else -factor.coeff(0)
-    h0 = float(root.p.w)
-    v = root.p.vector
-    vn = math.sqrt(sum(float(c) * float(c) for c in v))
-    if vn == 0:
-        raise NotRotational("root has no rotational part")
-    return math.pi - 2 * math.atan((float(t) - h0) / vn)
-
-
-def _axes_from_poses(
-    linkage: Linkage, poses_a: Sequence[DualQuaternion], poses_b: Sequence[DualQuaternion]
-) -> Tuple[AxisLine, ...]:
-    """World axis line of every joint, in cycle order, from both chains' link poses."""
-    out = []
-    for joint in linkage.joints:
-        poses = poses_a if joint.chain == "A" else poses_b
-        out.append(transform_axis(poses[joint.factor_indices[0]], joint.reference_axis))
-    return tuple(out)
+    return float(_angles([root], [t])[0, 0])
 
 
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
-    """World axis line of every joint at parameter t, in cycle order."""
-    return _axes_from_poses(
-        linkage, chain_poses(linkage.chain_a, t), chain_poses(linkage.chain_b, t)
+    """World axis line of every joint at parameter t, in cycle order (scalar lane)."""
+    poses = {"A": chain_poses(linkage.chain_a, t), "B": chain_poses(linkage.chain_b, t)}
+    return tuple(
+        transform_axis(poses[j.chain][j.factor_indices[0]], j.reference_axis)
+        for j in linkage.joints
     )
+
+
+def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[np.ndarray, np.ndarray]:
+    return poses_many(linkage.chain_a.factors, ts), poses_many(linkage.chain_b.factors, ts)
+
+
+def _axes_from_poses(linkage: Linkage, poses_a: np.ndarray, poses_b: np.ndarray) -> np.ndarray:
+    """World axis rows [direction, moment] of every joint, shape (N, n, 6)."""
+    offset = poses_a.shape[1]
+    pick = [j.factor_indices[0] + (0 if j.chain == "A" else offset) for j in linkage.joints]
+    poses = np.concatenate((poses_a, poses_b), axis=1)[:, pick]
+    return transform_axis_many(poses, [j.reference_axis for j in linkage.joints])
+
+
+def axes_many(linkage: Linkage, ts: Sequence[Scalar]) -> np.ndarray:
+    """Float64 axes_at for every t: rows [direction, moment], shape (len(ts), n, 6)."""
+    return _axes_from_poses(linkage, *_both_chains_many(linkage, ts))
+
+
+def _unit_screws(axes: np.ndarray) -> np.ndarray:
+    """Screw matrices (..., 6, n) of axis rows (..., n, 6), scaled to unit direction."""
+    n = np.linalg.norm(axes[..., :3], axis=-1, keepdims=True)
+    return np.swapaxes(axes / n, -1, -2)
 
 
 def screw_matrix(axes: Sequence[AxisLine]) -> np.ndarray:
     """6 x n matrix of unit revolute screws (direction; moment) per axis."""
-    cols = []
-    for ax in axes:
-        d = np.array([float(c) for c in ax.direction])
-        m = np.array([float(c) for c in ax.moment])
-        n = np.linalg.norm(d)
-        cols.append(np.concatenate([d / n, m / n]))
-    return np.array(cols).T
+    return _unit_screws(
+        np.array([[float(c) for c in (*ax.direction, *ax.moment)] for ax in axes])
+    )
 
 
 @dataclass(frozen=True)
@@ -176,23 +200,26 @@ class MobilityReport:
     tol: float
 
 
-def mobility_at(linkage: Linkage, t: Scalar, tol: float = RANK_RTOL) -> MobilityReport:
-    """Instantaneous mobility from the rank of the joint screw system.
+def mobility_many(
+    linkage: Linkage, ts: Sequence[Scalar], tol: float = RANK_RTOL
+) -> Tuple[MobilityReport, ...]:
+    """Instantaneous mobility at every t from the rank of the joint screw system.
 
     dof = joint_count - numeric rank, with singular values below
-    tol * sigma_max treated as zero.
+    tol * sigma_max treated as zero.  One batched SVD covers all samples.
     """
-    mat = screw_matrix(axes_at(linkage, t))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    rank = int(np.sum(sv > tol * smax)) if smax > 0 else 0
-    return MobilityReport(
-        t=float(t),
-        singular_values=tuple(float(s) for s in sv),
-        rank=rank,
-        dof=linkage.joint_count - rank,
-        tol=tol,
+    sv = np.linalg.svd(_unit_screws(axes_many(linkage, ts)), compute_uv=False)
+    smax = sv[:, :1]
+    ranks = np.where(smax[:, 0] > 0, np.sum(sv > tol * smax, axis=1), 0)
+    return tuple(
+        MobilityReport(float(t), tuple(row), rank, linkage.joint_count - rank, tol)
+        for t, row, rank in zip(ts, sv.tolist(), ranks.tolist())
     )
+
+
+def mobility_at(linkage: Linkage, t: Scalar, tol: float = RANK_RTOL) -> MobilityReport:
+    """Instantaneous mobility at one parameter value (see mobility_many)."""
+    return mobility_many(linkage, [t], tol)[0]
 
 
 def _axes_exact(axes: Sequence[AxisLine]) -> bool:
@@ -297,20 +324,41 @@ def substructure_report(
     return SubstructureReport(groups, tuple(four_bar), tuple(sarrus))
 
 
-@dataclass(frozen=True)
-class ConfigSample:
-    """One simulated configuration of the closed loop."""
+def _dqs(rows: np.ndarray) -> Tuple[DualQuaternion, ...]:
+    return tuple(DualQuaternion.from_coeffs(r) for r in rows.tolist())
 
-    t: Scalar
-    poses_a: Tuple[DualQuaternion, ...]
-    poses_b: Tuple[DualQuaternion, ...]
-    axes: Tuple[AxisLine, ...]
+
+@dataclass(frozen=True, eq=False)
+class ConfigSample:
+    """One simulated configuration of the closed loop, held as float64 rows.
+
+    pose_rows_a / pose_rows_b are the link poses of each chain (k + 1, 8)
+    and axis_rows the joint axes (n, 6), direction then moment; the
+    properties turn them into algebra objects on access.
+    """
+
+    t: float
+    pose_rows_a: np.ndarray
+    pose_rows_b: np.ndarray
+    axis_rows: np.ndarray
     angles: Tuple[float, ...]
     closure_residual: float
 
     @property
+    def poses_a(self) -> Tuple[DualQuaternion, ...]:
+        return _dqs(self.pose_rows_a)
+
+    @property
+    def poses_b(self) -> Tuple[DualQuaternion, ...]:
+        return _dqs(self.pose_rows_b)
+
+    @property
+    def axes(self) -> Tuple[AxisLine, ...]:
+        return tuple(AxisLine(tuple(r[:3]), tuple(r[3:])) for r in self.axis_rows.tolist())
+
+    @property
     def coupler_pose(self) -> DualQuaternion:
-        return self.poses_a[-1]
+        return DualQuaternion.from_coeffs(self.pose_rows_a[-1].tolist())
 
 
 def closure_residual(linkage: Linkage, t: Scalar) -> float:
@@ -319,9 +367,8 @@ def closure_residual(linkage: Linkage, t: Scalar) -> float:
     Both ends equal the common motion up to central real cofactor values,
     so they are the same projective element at every closure parameter.
     """
-    ea = chain_poses(linkage.chain_a, t)[-1]
-    eb = chain_poses(linkage.chain_b, t)[-1]
-    return projective_distance(ea, eb)
+    poses_a, poses_b = _both_chains_many(linkage, [t])
+    return float(ray_gap(poses_a[0, -1], poses_b[0, -1]))
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
@@ -332,22 +379,18 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 
 
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[ConfigSample, ...]:
-    """Sample the loop at the given parameter values."""
-    out = []
-    for t in ts:
-        poses_a = chain_poses(linkage.chain_a, t)
-        poses_b = chain_poses(linkage.chain_b, t)
-        out.append(
-            ConfigSample(
-                t=t,
-                poses_a=tuple(poses_a),
-                poses_b=tuple(poses_b),
-                axes=_axes_from_poses(linkage, poses_a, poses_b),
-                angles=tuple(j.multiplicity * joint_angle(j.root, t) for j in linkage.joints),
-                closure_residual=projective_distance(poses_a[-1], poses_b[-1]),
-            )
-        )
-    return tuple(out)
+    """Sample the loop at the given parameter values (float64)."""
+    poses_a, poses_b = _both_chains_many(linkage, ts)
+    axes = _axes_from_poses(linkage, poses_a, poses_b)
+    mult = [j.multiplicity for j in linkage.joints]
+    angles = (mult * _angles([j.root for j in linkage.joints], ts)).tolist()
+    residuals = ray_gap(poses_a[:, -1], poses_b[:, -1]).tolist()
+    for rows in (poses_a, poses_b, axes):
+        rows.flags.writeable = False  # every sample holds a view
+    return tuple(
+        ConfigSample(float(t), pa, pb, ax, tuple(an), res)
+        for t, pa, pb, ax, an, res in zip(ts, poses_a, poses_b, axes, angles, residuals)
+    )
 
 
 def trace_point(

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .dualquat import DQ_ONE, DualQuaternion, viszero
+import numpy as np
+
+from .dualquat import DQ_ONE, DQ_ONE_ROW, DualQuaternion, act_many, dq_mul_many, viszero
 from .errors import NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact
 
@@ -198,13 +200,10 @@ class MotionPoly:
             acc = acc.scale(t) + c
         return acc
 
-    def orbit(
-        self, point: Sequence[Scalar], ts: Sequence[Scalar]
-    ) -> List[Tuple[float, float, float]]:
-        """Float images of a point under the motion at each parameter value."""
-        pf = self.to_float()
-        x = (1.0,) + tuple(float(v) for v in point)
-        return [pf.eval(float(t)).act(x)[1:] for t in ts]
+    def orbit(self, point: Sequence[Scalar], ts: Sequence[Scalar]) -> np.ndarray:
+        """Float64 images of a point under the motion at every t, shape (len(ts), 3)."""
+        values = _horner_many(_coeff_array([self]), ts)[:, 0]
+        return act_many(values, [1.0, *map(float, point)])[:, 1:]
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
         """Right evaluation: sum of coeffs[k] * h^k with powers on the right.
@@ -267,6 +266,38 @@ def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
     for f in factors:
         acc = acc * f
     return acc
+
+
+def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
+    """Float64 coefficients, shape (len(polys), max degree + 1, 8), zero padded on top."""
+    out = np.zeros((len(polys), max((len(q.coeffs) for q in polys), default=0), 8))
+    for i, q in enumerate(polys):
+        for k, c in enumerate(q.coeffs):
+            out[i, k] = [float(v) for v in c.coeffs()]
+    return out
+
+
+def _horner_many(coeffs: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
+    """Values of (m, d + 1, 8) coefficient arrays at every t, shape (len(ts), m, 8), as eval."""
+    t = np.asarray(ts, dtype=float)[:, None, None]
+    acc = np.zeros((t.shape[0],) + coeffs.shape[:1] + (8,))
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        acc = acc * t + coeffs[:, k]
+    return acc
+
+
+def poses_many(factors: Sequence[MotionPoly], ts: Sequence[Scalar]) -> np.ndarray:
+    """Float64 link poses of a chain at every t, shape (len(ts), len(factors) + 1, 8).
+
+    Entry [:, j] is the product of the first j factor values, the batched
+    form of linkage.chain_poses.
+    """
+    values = _horner_many(_coeff_array(factors), ts)
+    poses = np.empty((values.shape[0], len(factors) + 1, 8))
+    poses[:, 0] = DQ_ONE_ROW
+    for j in range(len(factors)):
+        poses[:, j + 1] = dq_mul_many(poses[:, j], values[:, j])
+    return poses
 
 
 def right_factor_from_quadratic(c: MotionPoly, m: RealPoly) -> DualQuaternion:

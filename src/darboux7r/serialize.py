@@ -249,7 +249,7 @@ def samples_to_json(samples: Sequence[ConfigSample]) -> List[Dict[str, Any]]:
         {
             "t": scalar_to_json(s.t),
             "angles": list(s.angles),
-            "axes": [axis_to_json(ax.to_float()) for ax in s.axes],
+            "axes": [axis_to_json(ax) for ax in s.axes],
             "coupler_pose": dq_to_json(s.coupler_pose),
             "closure_residual": s.closure_residual,
         }

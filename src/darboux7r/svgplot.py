@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .darboux import t_grid
 from .errors import KinematicsError
-from .linkage import Linkage, axes_at
+from .linkage import Linkage, axes_many
 
 # (u-axis, v-axis, view direction) as coordinate indices
 _VIEWS = {
@@ -36,16 +38,16 @@ def _project(point: Sequence[float], view: str) -> Tuple[float, float]:
     return (float(point[iu]), float(point[iv]))
 
 
-def _axis_screen_data(linkage: Linkage, t, view: str):
-    """Anchor points and unit directions of every joint axis at parameter t."""
-    axes = [ax.to_float() for ax in axes_at(linkage, t)]
-    anchors = [ax.point_nearest_origin() for ax in axes]
-    dirs = []
-    for ax in axes:
-        d = ax.direction
-        n = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        dirs.append((d[0] / n, d[1] / n, d[2] / n))
-    return anchors, dirs
+def _axis_screen_data(linkage: Linkage, ts: Sequence):
+    """Anchor points nearest the origin and unit directions of every joint axis, per t."""
+    axes = axes_many(linkage, ts)
+    d, m = axes[..., :3], axes[..., 3:]
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
+    n2 = (d0 * d0 + d1 * d1 + d2 * d2)[..., None]
+    # d x m / |d|^2, as AxisLine.point_nearest_origin
+    anchors = np.stack((d1 * m2 - d2 * m1, d2 * m0 - d0 * m2, d0 * m1 - d1 * m0), axis=-1) / n2
+    return anchors.tolist(), (d / np.sqrt(n2)).tolist()
 
 
 def _is_view_parallel(direction: Tuple[float, float, float], view: str) -> bool:
@@ -67,14 +69,11 @@ def render_linkage(
     if not ts:
         raise KinematicsError("need at least one parameter value to plot")
 
-    frames = []
-    for t in ts:
-        anchors, dirs = _axis_screen_data(linkage, t, view)
-        frames.append((float(t), anchors, dirs))
+    frames = list(zip((float(t) for t in ts), *_axis_screen_data(linkage, ts)))
 
-    trace_pts: List[Tuple[float, float, float]] = []
+    trace_pts: List[List[float]] = []
     if trace_point is not None:
-        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(trace_samples))
+        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(trace_samples)).tolist()
 
     # Shared bounding box so all frames use one scale.
     pts2: List[Tuple[float, float]] = []

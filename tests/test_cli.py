@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, serialize
+from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, factor_fiii, serialize
 from darboux7r.cli import main
 
 
@@ -276,3 +276,47 @@ def test_verify_file_rejects_wrong_identical_adjacent(tmp_path, capsys):
         code, out, _ = verify_doc(tmp_path, capsys, dict(doc, identical_adjacent=pairs))
         assert code == 1
         assert f"FAIL: FII identical_adjacent pair ({pairs[0][0]}, {pairs[0][1]})" in out
+
+
+def test_verify_file_label_must_match_factor_count(tmp_path, capsys):
+    fiii = serialize.factorization_to_json(factor_fiii(PARAMS, Fraction(1, 3), Fraction(-2, 7)))
+    code, out, _ = verify_doc(tmp_path, capsys, dict(fiii, label="FI"))
+    assert code == 1
+    assert "max |residual coefficient|: 0" in out  # the product alone would pass
+    assert "FAIL: FI has 5 factors with identical_adjacent [(3, 4)]; the label needs 3" in out
+    fi = serialize.factorization_to_json(factor_fi(PARAMS))
+    for label in ("FII", "FIII", "FIV"):
+        code, out, _ = verify_doc(tmp_path, capsys, dict(fi, label=label))
+        assert code == 1
+        assert f"FAIL: {label} has 3 factors" in out
+    code, out, _ = verify_doc(tmp_path, capsys, dict(fiii, label="FII"))  # doubled factor last
+    assert code == 1
+    assert "the label needs 5 factors with [(1, 2)]" in out
+    code, out, _ = verify_doc(tmp_path, capsys, dict(fi, label="F9"))
+    assert code == 1
+    assert "FAIL: F9 label is not one of FI, FII, FIII, FIV" in out
+
+
+def assert_flag_error(capsys, flag, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_tol_must_be_finite_and_positive(capsys):
+    for command in ("mobility", "trace"):
+        for value in ("-1", "0", "inf", "nan"):
+            assert_flag_error(capsys, "--tol", command, "--type", "FIV", f"--tol={value}")
+
+
+def test_t_min_must_be_finite_and_bounded(capsys):
+    for value in ("inf", "-inf", "nan", "-1e308"):
+        for command in ("simulate", "mobility", "trace", "plot"):
+            assert_flag_error(capsys, "--t-min", command, f"--t-min={value}", "--t-max=1")
+
+
+def test_t_max_must_be_finite_and_bounded(capsys):
+    for value in ("inf", "nan", "1e308"):
+        for command in ("simulate", "mobility", "trace", "plot"):
+            assert_flag_error(capsys, "--t-max", command, "--t-min=0", f"--t-max={value}")

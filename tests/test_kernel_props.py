@@ -1,0 +1,137 @@
+"""Property tests: the float64 array kernel repeats the scalar dual quaternion lane.
+
+Inputs are dual quaternions and points with small random rational
+coefficients.  The kernel must give the scalar float lane's values bit
+for bit, stay within 1e-12 of the exact values, and raise the scalar
+lane's errors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from darboux7r import DualQuaternion, NotADisplacement, ZeroPrimal  # noqa: E402
+from darboux7r.dualquat import Quaternion, act_many, dq_mul_many, ray_gap  # noqa: E402
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
+dual_quaternions = st.builds(DualQuaternion, quaternions, quaternions)
+points = st.tuples(st.just(Fraction(1)), rationals, rationals, rationals)
+
+
+@st.composite
+def displacements(draw) -> DualQuaternion:
+    """p + eps*d with d = v*p / 2 for a pure vector v, so p . d = 0 exactly."""
+    p = draw(quaternions.filter(lambda q: not q.is_zero()))
+    v = Quaternion(0, draw(rationals), draw(rationals), draw(rationals))
+    return DualQuaternion(p, (v * p).scale(Fraction(1, 2)))
+
+
+def row(h: DualQuaternion) -> np.ndarray:
+    return np.array([float(v) for v in h.coeffs()])
+
+
+def floats(values) -> np.ndarray:
+    return np.array([float(v) for v in values])
+
+
+def close(batched: np.ndarray, exact: np.ndarray) -> bool:
+    return bool(np.all(np.abs(batched - exact) <= 1e-12 * max(1.0, np.abs(exact).max())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_quaternions, dual_quaternions)
+def test_product_repeats_scalar_product(a, b):
+    batched = dq_mul_many(row(a), row(b))
+    assert np.array_equal(batched, row(a.to_float() * b.to_float()))
+    assert close(batched, row(a * b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(dual_quaternions, min_size=1, max_size=4),
+       st.lists(dual_quaternions, min_size=1, max_size=4))
+def test_product_broadcasts_over_leading_axes(lefts, rights):
+    left = np.array([row(a) for a in lefts])[:, None]
+    table = dq_mul_many(left, np.array([row(b) for b in rights]))
+    assert table.shape == (len(lefts), len(rights), 8)
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            assert np.array_equal(table[i, j], row(a.to_float() * b.to_float()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(displacements(), points)
+def test_act_repeats_scalar_act(h, x):
+    batched = act_many(row(h), floats(x))
+    assert np.array_equal(batched, floats(h.to_float().act(tuple(float(v) for v in x))))
+    assert close(batched, floats(h.act(x)))
+
+
+def scalar_outcome(h: DualQuaternion, x):
+    try:
+        return floats(h.to_float().act(tuple(float(v) for v in x)))
+    except (ZeroPrimal, NotADisplacement) as exc:
+        return type(exc)
+
+
+def batched_outcome(h: DualQuaternion, x):
+    try:
+        return act_many(row(h), floats(x))
+    except (ZeroPrimal, NotADisplacement) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_quaternions, points)
+def test_act_fails_like_scalar_act(h, x):
+    scalar, batched = scalar_outcome(h, x), batched_outcome(h, x)
+    if isinstance(scalar, type):
+        assert batched is scalar
+    else:
+        assert np.array_equal(batched, scalar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quaternions, points)
+def test_act_zero_primal_raises(d, x):
+    h = DualQuaternion(Quaternion(0, 0, 0, 0), d)
+    assert scalar_outcome(h, x) is ZeroPrimal
+    assert batched_outcome(h, x) is ZeroPrimal
+
+
+@settings(max_examples=100, deadline=None)
+@given(quaternions.filter(lambda q: not q.is_zero()), points)
+def test_act_non_real_norm_raises(p, x):
+    h = DualQuaternion(p, p)  # norm p.p + eps 2 p.p
+    assert scalar_outcome(h, x) is NotADisplacement
+    assert batched_outcome(h, x) is NotADisplacement
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(displacements(), min_size=2, max_size=6), st.integers(0, 5), points)
+def test_one_bad_sample_fails_the_batch(hs, k, x):
+    rows = np.array([row(h) for h in hs])
+    rows[k % len(hs)] = np.nan
+    with pytest.raises(NotADisplacement):
+        act_many(rows, floats(x))
+    rows[k % len(hs)] = 0.0
+    with pytest.raises(ZeroPrimal):
+        act_many(rows, floats(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(dual_quaternions, min_size=1, max_size=5), st.integers(-3, 3).filter(bool))
+def test_ray_gap_is_free_of_scale_and_sign(hs, k):
+    assume(not any(h.is_zero() for h in hs))
+    rows = np.array([row(h) for h in hs])
+    assert np.all(ray_gap(rows, k * rows) <= 1e-15)
+    assert np.all(ray_gap(rows, np.zeros_like(rows)) == np.inf)
+    assert ray_gap(np.zeros(8), np.zeros(8)) == 0
+    assert ray_gap(np.eye(8)[0], np.eye(8)[1]) == 1
