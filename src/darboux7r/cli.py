@@ -32,7 +32,6 @@ from .linkage import (
     build_linkage,
     mobility_at,
     mobility_many,
-    parallel_groups,
     simulate,
     substructure_report,
     trace_point,
@@ -40,8 +39,22 @@ from .linkage import (
 from .motionpoly import factorization_residual
 from .scalars import Scalar, parse_scalar
 
-SINGLE_TYPES = ("FI", "FII", "FIII", "FIV")
-PAIR_TYPES = ("FI+FIII", "FI+FII", "FIV")
+# Factorization families by label, each built from (a, b, c, x, y).  Only
+# FIII uses the free pair x, y; FIV is a fixed instance and uses nothing.
+FAMILIES = {
+    "FI": lambda a, b, c, x, y: factor_fi(DarbouxParams(a, b, c)),
+    "FII": lambda a, b, c, x, y: factor_fii(DarbouxParams(a, b, c)),
+    "FIII": lambda a, b, c, x, y: factor_fiii(DarbouxParams(a, b, c), x, y),
+    "FIV": lambda *_: factor_fiv(),
+}
+# Closed loops by label: the builders of chain A and chain B.
+LOOPS = {
+    "FI+FIII": (FAMILIES["FI"], FAMILIES["FIII"]),
+    "FI+FII": (FAMILIES["FI"], FAMILIES["FII"]),
+    "FIV": (lambda *_: fiv_companion_fi(), FAMILIES["FIV"]),
+}
+SINGLE_TYPES = tuple(FAMILIES)
+PAIR_TYPES = tuple(LOOPS)
 
 
 def _rational(text: str):
@@ -75,23 +88,12 @@ def _add_sampling_flags(p: argparse.ArgumentParser, default_samples: int) -> Non
 
 
 def _build_factorization(args) -> Factorization:
-    params = DarbouxParams(args.a, args.b, args.c)
-    if args.type == "FI":
-        return factor_fi(params)
-    if args.type == "FII":
-        return factor_fii(params)
-    if args.type == "FIII":
-        return factor_fiii(params, args.x, args.y)
-    return factor_fiv()
+    return FAMILIES[args.type](args.a, args.b, args.c, args.x, args.y)
 
 
 def _build_linkage(args) -> Linkage:
-    if args.type == "FIV":
-        return build_linkage(fiv_companion_fi(), factor_fiv())
-    params = DarbouxParams(args.a, args.b, args.c)
-    if args.type == "FI+FIII":
-        return build_linkage(factor_fi(params), factor_fiii(params, args.x, args.y))
-    return build_linkage(factor_fi(params), factor_fii(params))
+    values = (args.a, args.b, args.c, args.x, args.y)
+    return build_linkage(*(build(*values) for build in LOOPS[args.type]))
 
 
 # From |t| = 1e16 on, pi - 2*atan(t) rounds to its limit at t = +-inf in
@@ -144,29 +146,16 @@ def _check(f: Factorization) -> Tuple[Optional[str], Scalar]:
     return None, residual
 
 
-def _random_params(rng: random.Random) -> DarbouxParams:
+def _random_factorization(kind: str, rng: random.Random) -> Factorization:
     def q() -> Fraction:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
-    a = q()
-    while a == 0:
-        a = q()
-    return DarbouxParams(a, q(), q())
-
-
-def _random_factorization(kind: str, rng: random.Random) -> Factorization:
     while True:
-        params = _random_params(rng)
+        a = q()
+        while a == 0:
+            a = q()
         try:
-            if kind == "FI":
-                return factor_fi(params)
-            if kind == "FII":
-                return factor_fii(params)
-            if kind == "FIV":
-                return factor_fiv()
-            x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            return factor_fiii(params, x, y)
+            return FAMILIES[kind](a, q(), q(), q(), q())
         except SingularChoice:
             continue
 
@@ -175,6 +164,8 @@ def cmd_verify(args) -> int:
     if args.from_file is not None:
         f = serialize.read_exact_factorization(args.from_file)
     elif args.random is not None:
+        if args.random < 1:
+            raise KinematicsError("--random must be at least 1")
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.random):
@@ -199,12 +190,11 @@ def cmd_verify(args) -> int:
 
 def cmd_linkage(args) -> int:
     linkage = _build_linkage(args)
-    groups = parallel_groups(linkage)
     sub = substructure_report(linkage)
     home = mobility_at(linkage, 0.0)
     doc = {
         "linkage": serialize.linkage_to_json(linkage),
-        "parallel_groups": [list(g) for g in groups],
+        "parallel_groups": [list(g) for g in sub.groups],
         "four_bar_runs": [list(r) for r in sub.four_bar_runs],
         "sarrus": [
             {"fixed_joint": s.fixed_joint, "arc_a": list(s.arc_a), "arc_b": list(s.arc_b)}
@@ -349,10 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("verify needs --type or --from-file")
     try:
         return args.func(args)
-    except KinematicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KinematicsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ A sampled space curve is first fit with a total-least-squares plane
 with a general conic A x^2 + B xy + C y^2 + D x + E y + F = 0 by taking
 the smallest right singular vector of the design matrix.  Conic type
 comes from the sign of B^2 - 4AC and the rank of the conic matrix; an
-ellipse whose semi-axis ratio is within circle_rtol of 1 counts as a
+ellipse whose semi-axis ratio is within CIRCLE_RTOL of 1 counts as a
 circle.
 """
 
@@ -121,11 +121,7 @@ def fit_conic(xy: np.ndarray) -> np.ndarray:
     return coeffs / n if n > 0 else coeffs
 
 
-def classify_conic(
-    coeffs: Sequence[float],
-    circle_rtol: float = CIRCLE_RTOL,
-    degenerate_rtol: float = DEGENERATE_RTOL,
-) -> ConicFit:
+def classify_conic(coeffs: Sequence[float]) -> ConicFit:
     a, b, c, d, e, f = (float(v) for v in coeffs)
     norm = np.linalg.norm([a, b, c, d, e, f])
     if norm == 0:
@@ -134,9 +130,9 @@ def classify_conic(
     m33 = np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
     det33 = float(np.linalg.det(m33))
     disc = b * b - 4 * a * c
-    if abs(det33) <= degenerate_rtol:
+    if abs(det33) <= DEGENERATE_RTOL:
         return ConicFit((a, b, c, d, e, f), ConicClass.DEGENERATE, None, None, None)
-    if abs(disc) <= degenerate_rtol:
+    if abs(disc) <= DEGENERATE_RTOL:
         return ConicFit((a, b, c, d, e, f), ConicClass.PARABOLA, None, None, None)
     if disc > 0:
         return ConicFit((a, b, c, d, e, f), ConicClass.HYPERBOLA, None, None, None)
@@ -149,7 +145,7 @@ def classify_conic(
         return ConicFit((a, b, c, d, e, f), ConicClass.DEGENERATE, None, None, None)
     axes = sorted((float(np.sqrt(v)) for v in vals), reverse=True)
     kind = ConicClass.ELLIPSE
-    if axes[1] > 0 and axes[0] / axes[1] - 1 <= circle_rtol:
+    if axes[1] > 0 and axes[0] / axes[1] - 1 <= CIRCLE_RTOL:
         kind = ConicClass.CIRCLE
     return ConicFit(
         (a, b, c, d, e, f), kind, axes[0], axes[1], (float(cx), float(cy))
@@ -159,7 +155,6 @@ def classify_conic(
 def trace_fit(
     points: Sequence[Sequence[float]],
     plane_rtol: float = PLANE_RTOL,
-    circle_rtol: float = CIRCLE_RTOL,
     moving_point: Optional[Tuple[float, float, float]] = None,
 ) -> TrajectoryReport:
     """Classify a sampled trajectory: plane fit, then in-plane conic fit."""
@@ -187,7 +182,7 @@ def trace_fit(
         return TrajectoryReport(
             n, diameter, plane, plane_ok, None, ConicClass.DEGENERATE, moving_point
         )
-    conic = classify_conic(fit_conic(uv), circle_rtol=circle_rtol)
+    conic = classify_conic(fit_conic(uv))
     return TrajectoryReport(
         n, diameter, plane, plane_ok, conic, conic.kind, moving_point
     )

@@ -284,16 +284,17 @@ def _exact_quotient(num: MotionPoly, den: MotionPoly) -> MotionPoly:
 
 
 def _solve_affine_pair(
-    f: Callable[[Scalar, Scalar], Scalar], g: Callable[[Scalar, Scalar], Scalar]
+    conditions: Callable[[Scalar, Scalar], Tuple[Scalar, Scalar]]
 ) -> Tuple[Scalar, Scalar]:
-    """Solve f = g = 0 for two unknowns, given that both maps are affine.
+    """Solve f = g = 0 for two unknowns, given that (f, g) = conditions(s, u) is affine.
 
     Affinity is probed at (0,0), (1,0), (0,1), (1,1) and asserted, so a
     change that breaks the linear structure fails loudly instead of
     returning nonsense.
     """
-    f00, f10, f01, f11 = f(0, 0), f(1, 0), f(0, 1), f(1, 1)
-    g00, g10, g01, g11 = g(0, 0), g(1, 0), g(0, 1), g(1, 1)
+    (f00, g00), (f10, g10), (f01, g01), (f11, g11) = (
+        conditions(s, u) for s, u in ((0, 0), (1, 0), (0, 1), (1, 1))
+    )
     fu, fv = f10 - f00, f01 - f00
     gu, gv = g10 - g00, g01 - g00
     if f11 - (f00 + fu + fv) != 0 or g11 - (g00 + gu + gv) != 0:
@@ -327,25 +328,22 @@ def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
 
 def _circularity_conditions(
     cubic: MotionPoly, primal: Quaternion
-) -> Tuple[Callable, Callable, Callable]:
+) -> Tuple[Callable, Callable]:
     """Conditions on (s, u) making the quotient of cubic by t - (primal + eps(s i + u j))
-    a circular translation; returns (cond1, cond2, quotient_for)."""
+    a circular translation; returns (conditions, quotient_for), and conditions(s, u)
+    gives both values from one exact division."""
 
     def quotient_for(s: Scalar, u: Scalar) -> MotionPoly:
         root = DualQuaternion(primal, Quaternion(0, s, u, 0))
         return _exact_quotient(cubic, MotionPoly.t_minus(root))
 
-    def cond1(s: Scalar, u: Scalar) -> Scalar:
-        quot = quotient_for(s, u)
-        return vdot(quot.coeff(1).d.vector, quot.coeff(0).d.vector)
-
-    def cond2(s: Scalar, u: Scalar) -> Scalar:
+    def conditions(s: Scalar, u: Scalar) -> Tuple[Scalar, Scalar]:
         quot = quotient_for(s, u)
         d1 = quot.coeff(1).d.vector
         d0 = quot.coeff(0).d.vector
-        return vdot(d1, d1) - vdot(d0, d0)
+        return vdot(d1, d0), vdot(d1, d1) - vdot(d0, d0)
 
-    return cond1, cond2, quotient_for
+    return conditions, quotient_for
 
 
 def derive_fi(p: DarbouxParams) -> Factorization:
@@ -358,8 +356,8 @@ def derive_fi(p: DarbouxParams) -> Factorization:
     closed forms in factor_fi.
     """
     c = darboux_c(p)
-    cond1, cond2, quotient_for = _circularity_conditions(c, Q_K)
-    v, w = _solve_affine_pair(cond1, cond2)
+    conditions, quotient_for = _circularity_conditions(c, Q_K)
+    v, w = _solve_affine_pair(conditions)
     quot = quotient_for(v, w)
     q1, q2 = _split_circular_quadratic(quot)
     q3 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, v, w, 0)))
@@ -377,8 +375,8 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
     q4 = MotionPoly.t_minus(q4root)
     pc = darboux_c(p) * t_squared_plus_one()
     c2 = _exact_quotient(pc, q4 * q4)
-    cond1, cond2, quotient_for = _circularity_conditions(c2, -Q_K)
-    alpha, beta = _solve_affine_pair(cond1, cond2)
+    conditions, quotient_for = _circularity_conditions(c2, -Q_K)
+    alpha, beta = _solve_affine_pair(conditions)
     quot = quotient_for(alpha, beta)
     q7, q6 = _split_circular_quadratic(quot)
     q5 = MotionPoly.t_minus(DualQuaternion(-Q_K, Quaternion(0, alpha, beta, 0)))
@@ -406,7 +404,10 @@ class CircularTranslationReport:
     perturbed_ratio_devs: Tuple[float, ...]
 
 
-_DEFAULT_ORBIT_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (-2, 1, 1))
+# Moving points, grid size and Q3 perturbation of circular_translation_check.
+ORBIT_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (-2, 1, 1))
+ORBIT_SAMPLES = 24
+PERTURBATION = 1
 
 
 def phi_grid(n: int) -> Tuple[float, ...]:
@@ -419,17 +420,12 @@ def t_grid(n: int) -> Tuple[float, ...]:
     return tuple(math.tan(phi / 2) for phi in phi_grid(n))
 
 
-def circular_translation_check(
-    p: DarbouxParams,
-    points: Sequence[Sequence[Scalar]] = _DEFAULT_ORBIT_POINTS,
-    n_samples: int = 24,
-    perturbation: Scalar = 1,
-) -> CircularTranslationReport:
+def circular_translation_check(p: DarbouxParams) -> CircularTranslationReport:
     """Verify that C / Q3 is a circular translation and that circularity is sharp.
 
     The quotient of C by the FI factor Q3 must have primal part t^2 + 1
     (a translation).  Its sampled point orbits are circles of one common
-    radius; replacing Q3's j dual coordinate by w + perturbation keeps the
+    radius; replacing Q3's j dual coordinate by w + PERTURBATION keeps the
     quotient a translation but the orbits become visibly non-circular
     ellipses.
     """
@@ -443,22 +439,22 @@ def circular_translation_check(
         and quot.coeff(1).p.is_zero()
         and quot.coeff(0).p == Quaternion(1, 0, 0, 0)
     )
-    ts = t_grid(n_samples)
+    ts = t_grid(ORBIT_SAMPLES)
     radii = []
-    for pt in points:
+    for pt in ORBIT_POINTS:
         rep = conics.trace_fit(quot.orbit(pt, ts))
         if rep.conic_class is not conics.ConicClass.CIRCLE or rep.conic is None:
             radii.append(float("nan"))
         else:
             radii.append((rep.conic.semi_major + rep.conic.semi_minor) / 2)
-    spread = max(radii) - min(radii) if radii else 0.0
+    spread = max(radii) - min(radii)
 
     q3root = -q3.coeff(0)
-    q3p = q3root + DualQuaternion(Q_ZERO, Quaternion(0, 0, perturbation, 0))
+    q3p = q3root + DualQuaternion(Q_ZERO, Quaternion(0, 0, PERTURBATION, 0))
     quot_p = _exact_quotient(c, MotionPoly.t_minus(q3p))
     axes = []
     devs = []
-    for pt in points:
+    for pt in ORBIT_POINTS:
         rep = conics.trace_fit(quot_p.orbit(pt, ts))
         if rep.conic is None or rep.conic.semi_major is None:
             axes.append((float("nan"), float("nan")))
@@ -468,8 +464,8 @@ def circular_translation_check(
             devs.append(abs(rep.conic.axis_ratio - 1))
     return CircularTranslationReport(
         params=p,
-        points=tuple(tuple(float(v) for v in pt) for pt in points),
-        n_samples=n_samples,
+        points=tuple(tuple(float(v) for v in pt) for pt in ORBIT_POINTS),
+        n_samples=ORBIT_SAMPLES,
         quotient_primal_ok=primal_ok,
         radii=tuple(radii),
         radius_spread=spread,

@@ -339,7 +339,10 @@ def ray_gap(u, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AxisLine:
-    """Line in 3-space with direction d and moment m = point x d (d . m = 0)."""
+    """Line in 3-space with direction d and moment m = point x d (d . m = 0).
+
+    is_parallel_to and same_line compare exactly, for exact coordinates.
+    """
 
     direction: Vec3
     moment: Vec3
@@ -353,14 +356,11 @@ class AxisLine:
         c = vcross(self.direction, self.moment)
         return (sdiv(c[0], n2), sdiv(c[1], n2), sdiv(c[2], n2))
 
-    def is_parallel_to(self, other: "AxisLine", tol: float = 0.0) -> bool:
-        u, v = self.direction, other.direction
-        return _minors_vanish(u, v) if tol == 0 else float(ray_gap(u, v)) <= tol
+    def is_parallel_to(self, other: "AxisLine") -> bool:
+        return _minors_vanish(self.direction, other.direction)
 
-    def same_line(self, other: "AxisLine", tol: float = 0.0) -> bool:
-        u = tuple(self.direction) + tuple(self.moment)
-        v = tuple(other.direction) + tuple(other.moment)
-        return _minors_vanish(u, v) if tol == 0 else float(ray_gap(u, v)) <= tol
+    def same_line(self, other: "AxisLine") -> bool:
+        return _minors_vanish((*self.direction, *self.moment), (*other.direction, *other.moment))
 
 
 def projectively_equal(h1: DualQuaternion, h2: DualQuaternion) -> bool:

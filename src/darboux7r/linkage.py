@@ -38,12 +38,11 @@ from .dualquat import (
     transform_axis,
     transform_axis_many,
 )
-from .errors import ClosureFailure, NotRotational
+from .errors import ClosureFailure, KinematicsError, NotRotational
 from .motionpoly import MotionPoly, poses_many
 from .scalars import Scalar, is_exact
 
 RANK_RTOL = 1e-8
-PARALLEL_FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -222,29 +221,20 @@ def mobility_at(linkage: Linkage, t: Scalar, tol: float = RANK_RTOL) -> Mobility
     return mobility_many(linkage, [t], tol)[0]
 
 
-def _axes_exact(axes: Sequence[AxisLine]) -> bool:
-    return all(
-        all(is_exact(c) for c in ax.direction) and all(is_exact(c) for c in ax.moment)
-        for ax in axes
-    )
-
-
-def parallel_groups(
-    linkage: Linkage, t: Optional[Scalar] = None, tol: Optional[float] = None
-) -> Tuple[Tuple[int, ...], ...]:
+def parallel_groups(linkage: Linkage, t: Optional[Scalar] = None) -> Tuple[Tuple[int, ...], ...]:
     """Partition of joint numbers 1..n into groups of mutually parallel axes.
 
-    Uses the home axes (t = 0) unless a parameter value is given.  Exact
-    axes compare exactly; float axes use a direction tolerance.
+    Uses the home axes (t = 0) unless a parameter value is given.  Axes
+    compare exactly, so t must be exact (int or Fraction).
     """
+    if t is not None and not is_exact(t):
+        raise KinematicsError(f"axes compare exactly, so t must be int or Fraction, not {t!r}")
     axes = linkage.home_axes() if t is None else axes_at(linkage, t)
-    if tol is None:
-        tol = 0.0 if _axes_exact(axes) else PARALLEL_FLOAT_TOL
     groups: List[List[int]] = []
     reps: List[AxisLine] = []
     for idx, ax in enumerate(axes, start=1):
         for g, rep in zip(groups, reps):
-            if ax.is_parallel_to(rep, tol):
+            if ax.is_parallel_to(rep):
                 g.append(idx)
                 break
         else:
@@ -275,17 +265,15 @@ class SubstructureReport:
         return bool(self.sarrus)
 
 
-def substructure_report(
-    linkage: Linkage, t: Optional[Scalar] = None, tol: Optional[float] = None
-) -> SubstructureReport:
-    """Detect parallel-axis substructures in the joint cycle.
+def substructure_report(linkage: Linkage) -> SubstructureReport:
+    """Detect parallel-axis substructures in the joint cycle at the home axes.
 
     A planar four-bar shows up as four (or more) cyclically consecutive
     joints with parallel axes; a Sarrus decomposition fixes one joint and
     splits the remaining six into two arcs of three consecutive joints,
     each arc internally parallel.
     """
-    groups = parallel_groups(linkage, t, tol)
+    groups = parallel_groups(linkage)
     n = linkage.joint_count
     group_of = {}
     for gi, g in enumerate(groups):
@@ -324,41 +312,21 @@ def substructure_report(
     return SubstructureReport(groups, tuple(four_bar), tuple(sarrus))
 
 
-def _dqs(rows: np.ndarray) -> Tuple[DualQuaternion, ...]:
-    return tuple(DualQuaternion.from_coeffs(r) for r in rows.tolist())
-
-
 @dataclass(frozen=True, eq=False)
-class ConfigSample:
-    """One simulated configuration of the closed loop, held as float64 rows.
+class Samples:
+    """Simulated configurations of the closed loop as float64 arrays, N samples.
 
-    pose_rows_a / pose_rows_b are the link poses of each chain (k + 1, 8)
-    and axis_rows the joint axes (n, 6), direction then moment; the
-    properties turn them into algebra objects on access.
+    t (N,), angles (N, n), poses_a / poses_b the link poses of each chain
+    (N, k + 1, 8), axes the joint axes (N, n, 6) as direction then moment,
+    closure_residual (N,).
     """
 
-    t: float
-    pose_rows_a: np.ndarray
-    pose_rows_b: np.ndarray
-    axis_rows: np.ndarray
-    angles: Tuple[float, ...]
-    closure_residual: float
-
-    @property
-    def poses_a(self) -> Tuple[DualQuaternion, ...]:
-        return _dqs(self.pose_rows_a)
-
-    @property
-    def poses_b(self) -> Tuple[DualQuaternion, ...]:
-        return _dqs(self.pose_rows_b)
-
-    @property
-    def axes(self) -> Tuple[AxisLine, ...]:
-        return tuple(AxisLine(tuple(r[:3]), tuple(r[3:])) for r in self.axis_rows.tolist())
-
-    @property
-    def coupler_pose(self) -> DualQuaternion:
-        return DualQuaternion.from_coeffs(self.pose_rows_a[-1].tolist())
+    t: np.ndarray
+    angles: np.ndarray
+    poses_a: np.ndarray
+    poses_b: np.ndarray
+    axes: np.ndarray
+    closure_residual: np.ndarray
 
 
 def closure_residual(linkage: Linkage, t: Scalar) -> float:
@@ -378,18 +346,17 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
     return projectively_equal(ea, eb)
 
 
-def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[ConfigSample, ...]:
+def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64)."""
     poses_a, poses_b = _both_chains_many(linkage, ts)
-    axes = _axes_from_poses(linkage, poses_a, poses_b)
     mult = [j.multiplicity for j in linkage.joints]
-    angles = (mult * _angles([j.root for j in linkage.joints], ts)).tolist()
-    residuals = ray_gap(poses_a[:, -1], poses_b[:, -1]).tolist()
-    for rows in (poses_a, poses_b, axes):
-        rows.flags.writeable = False  # every sample holds a view
-    return tuple(
-        ConfigSample(float(t), pa, pb, ax, tuple(an), res)
-        for t, pa, pb, ax, an, res in zip(ts, poses_a, poses_b, axes, angles, residuals)
+    return Samples(
+        t=np.asarray(ts, dtype=float),
+        angles=mult * _angles([j.root for j in linkage.joints], ts),
+        poses_a=poses_a,
+        poses_b=poses_b,
+        axes=_axes_from_poses(linkage, poses_a, poses_b),
+        closure_residual=ray_gap(poses_a[:, -1], poses_b[:, -1]),
     )
 
 
@@ -398,7 +365,6 @@ def trace_point(
     point: Sequence[Scalar],
     ts: Sequence[float],
     plane_rtol: float = conics.PLANE_RTOL,
-    circle_rtol: float = conics.CIRCLE_RTOL,
 ) -> conics.TrajectoryReport:
     """Sample the orbit of a coupler point and classify the trajectory."""
     if isinstance(source, Linkage):
@@ -410,6 +376,5 @@ def trace_point(
     return conics.trace_fit(
         poly.orbit(point, ts),
         plane_rtol=plane_rtol,
-        circle_rtol=circle_rtol,
         moving_point=tuple(float(v) for v in point),
     )

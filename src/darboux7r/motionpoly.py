@@ -53,12 +53,6 @@ class RealPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __call__(self, t: Scalar) -> Scalar:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
     def __add__(self, other: "RealPoly") -> "RealPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
@@ -83,9 +77,6 @@ class RealPoly:
 
     def to_motion(self) -> "MotionPoly":
         return MotionPoly(tuple(DualQuaternion.from_scalar(c) for c in self.coeffs))
-
-    def to_float(self) -> "RealPoly":
-        return RealPoly(tuple(float(c) for c in self.coeffs))
 
 
 def t_squared_plus_one() -> RealPoly:

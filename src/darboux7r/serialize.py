@@ -15,17 +15,18 @@ import json
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .conics import TrajectoryReport
 from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion
 from .errors import MalformedInput
-from .linkage import ConfigSample, Linkage, MobilityReport
+from .linkage import Linkage, MobilityReport, Samples
 from .motionpoly import MotionPoly, RealPoly
 from .scalars import Scalar, format_scalar, is_exact
 
 
-def scalar_to_json(x: Scalar):
-    return format_scalar(x)
+scalar_to_json = format_scalar
 
 
 def scalar_from_json(v) -> Scalar:
@@ -114,6 +115,8 @@ def _index_pair(pair: Sequence) -> Tuple[int, int]:
 
 def factorization_from_json(d: Dict[str, Any]) -> Factorization:
     free = d.get("free_xy")
+    if not isinstance(d["label"], str):
+        raise TypeError(f"expected a string label, got {d['label']!r}")
     return Factorization(
         label=d["label"],
         params=params_from_json(d["params"]),
@@ -223,37 +226,36 @@ def mobility_to_csv(reports: Sequence[MobilityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def samples_to_csv(samples: Sequence[ConfigSample]) -> str:
+def samples_to_csv(samples: Samples) -> str:
     """One row per configuration: t, joint angles, coupler pose coefficients."""
-    if not samples:
-        return "t\n"
-    n = len(samples[0].angles)
+    n = samples.angles.shape[1]
     header = (
         ["t"]
         + [f"theta{i + 1}" for i in range(n)]
         + [f"coupler_h{i}" for i in range(8)]
         + ["closure_residual"]
     )
-    lines = [",".join(header)]
-    for s in samples:
-        row = [repr(float(s.t))]
-        row += [repr(a) for a in s.angles]
-        row += [repr(float(c)) for c in s.coupler_pose.coeffs()]
-        row.append(repr(s.closure_residual))
-        lines.append(",".join(row))
+    # The coupler pose is chain A's end pose.
+    table = np.column_stack(
+        (samples.t, samples.angles, samples.poses_a[:, -1], samples.closure_residual)
+    )
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def samples_to_json(samples: Sequence[ConfigSample]) -> List[Dict[str, Any]]:
+def samples_to_json(samples: Samples) -> List[Dict[str, Any]]:
+    columns = (
+        samples.t, samples.angles, samples.axes, samples.poses_a[:, -1], samples.closure_residual
+    )
     return [
         {
-            "t": scalar_to_json(s.t),
-            "angles": list(s.angles),
-            "axes": [axis_to_json(ax) for ax in s.axes],
-            "coupler_pose": dq_to_json(s.coupler_pose),
-            "closure_residual": s.closure_residual,
+            "t": t,
+            "angles": angles,
+            "axes": [{"direction": ax[:3], "moment": ax[3:]} for ax in axes],
+            "coupler_pose": pose,
+            "closure_residual": residual,
         }
-        for s in samples
+        for t, angles, axes, pose, residual in zip(*(c.tolist() for c in columns))
     ]
 
 

@@ -31,6 +31,8 @@ _CHAIN_COLORS = {"A": "#1f6fb4", "B": "#c44e52"}
 _TRACE_COLOR = "#b0b0b0"
 _AXIS_HALF_LENGTH_FRACTION = 0.22  # of the scene diameter
 _VIEW_PARALLEL_TOL = 1e-9
+_CELL = 260  # frame side in pixels
+_TRACE_SAMPLES = 120  # vertices of the traced orbit
 
 
 def _project(point: Sequence[float], view: str) -> Tuple[float, float]:
@@ -59,9 +61,7 @@ def render_linkage(
     linkage: Linkage,
     ts: Sequence,
     view: str = "xy",
-    cell: int = 260,
     trace_point: Optional[Tuple[float, float, float]] = None,
-    trace_samples: int = 120,
 ) -> str:
     """Render configurations at the given parameter values as an SVG grid."""
     if view not in _VIEWS:
@@ -73,7 +73,7 @@ def render_linkage(
 
     trace_pts: List[List[float]] = []
     if trace_point is not None:
-        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(trace_samples)).tolist()
+        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(_TRACE_SAMPLES)).tolist()
 
     # Shared bounding box so all frames use one scale.
     pts2: List[Tuple[float, float]] = []
@@ -94,22 +94,22 @@ def render_linkage(
     vmin -= half_axis
     vmax += half_axis
 
-    margin = 0.07 * cell
-    inner = cell - 2 * margin
+    margin = 0.07 * _CELL
+    inner = _CELL - 2 * margin
     span = max(umax - umin, vmax - vmin)
     scale = inner / span
 
     n = len(frames)
     cols = min(n, max(1, math.ceil(math.sqrt(n))))
     rows = math.ceil(n / cols)
-    width = cols * cell
-    height = rows * cell
+    width = cols * _CELL
+    height = rows * _CELL
 
     def to_screen(p3, col: int, row: int) -> Tuple[float, float]:
         u, v = _project(p3, view)
         # center the scene in the cell; SVG y grows downward
-        sx = col * cell + margin + (u - umin) * scale + (inner - (umax - umin) * scale) / 2
-        sy = row * cell + margin + (vmax - v) * scale + (inner - (vmax - vmin) * scale) / 2
+        sx = col * _CELL + margin + (u - umin) * scale + (inner - (umax - umin) * scale) / 2
+        sy = row * _CELL + margin + (vmax - v) * scale + (inner - (vmax - vmin) * scale) / 2
         return (sx, sy)
 
     out: List[str] = []
@@ -124,8 +124,8 @@ def render_linkage(
         row = idx // cols
         out.append(f'<g data-frame="{idx}">')
         out.append(
-            f'<rect x="{col * cell + 1}" y="{row * cell + 1}" width="{cell - 2}" '
-            f'height="{cell - 2}" fill="none" stroke="#dddddd"/>'
+            f'<rect x="{col * _CELL + 1}" y="{row * _CELL + 1}" width="{_CELL - 2}" '
+            f'height="{_CELL - 2}" fill="none" stroke="#dddddd"/>'
         )
 
         if trace_pts:
@@ -179,7 +179,7 @@ def render_linkage(
             )
 
         out.append(
-            f'<text x="{col * cell + 8}" y="{row * cell + 16}" font-size="11" '
+            f'<text x="{col * _CELL + 8}" y="{row * _CELL + 16}" font-size="11" '
             f'fill="#333333">t = {t:.4g}</text>'
         )
         out.append("</g>")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, factor_fiii, serialize
-from darboux7r.cli import main
+from darboux7r.cli import PAIR_TYPES, SINGLE_TYPES, main
 
 
 def run(capsys, *argv):
@@ -41,6 +41,13 @@ def test_factor_rejects_vertical_params(capsys):
     code, _, err = run(capsys, "factor", "--type", "FI", "--a", "0", "--b", "1", "--c", "1")
     assert code == 2
     assert "vertical" in err
+
+
+def test_fiv_ignores_the_parameter_flags(capsys):
+    # FIV is one fixed instance, in factor and verify as in the loop commands.
+    anchor = run(capsys, "factor", "--type", "FIV")
+    assert run(capsys, "factor", "--type", "FIV", "--a", "0", "--b", "5") == anchor
+    assert run(capsys, "verify", "--type", "FIV", "--a", "0")[0] == 0
 
 
 def test_verify_examples(capsys):
@@ -168,6 +175,20 @@ def test_plot_view_flag(capsys):
     assert out.count("data-frame") == 4
 
 
+def test_verify_random_needs_at_least_one_set(capsys):
+    # N < 1 checks nothing, so it must not print PASS.
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--type", "FI", f"--random={value}")
+        assert (code, out, err) == (2, "", "error: --random must be at least 1\n")
+    code, out, _ = run(capsys, "verify", "--type", "FIII", "--random", "1")
+    assert (code, out) == (0, "PASS: FIII exact for 1/1 random parameter sets (seed 0)\n")
+
+
+def test_type_choices_keep_their_order():
+    assert SINGLE_TYPES == ("FI", "FII", "FIII", "FIV")
+    assert PAIR_TYPES == ("FI+FIII", "FI+FII", "FIV")
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--type", "NOPE"])
@@ -191,7 +212,7 @@ def test_plot_point_overlay_one_orbit_per_frame(capsys):
     for frame in frames:
         paths = re.findall(r'<path d="([^"]*) Z"', frame)
         assert len(paths) == 1
-        assert len(re.findall(r"[ML]-?\d", paths[0])) == 120  # trace_samples vertices
+        assert len(re.findall(r"[ML]-?\d", paths[0])) == 120  # svgplot._TRACE_SAMPLES vertices
     # Pinned SVG of this input, so changes to the orbit sampler stay byte-stable.
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "be913cfe58e1dd31276d97bca79825944c28b5e44a24aa3660b73bc0c6ceb337"
@@ -231,6 +252,8 @@ def test_verify_file_wrong_field_type_exits_two(tmp_path, capsys):
     assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, factors=5)))
     assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, identical_adjacent=[["0", "1"]])))
     assert_input_error(*verify_doc(tmp_path, capsys, [doc]))
+    for label in ([], {"FI": 1}, 3, None):
+        assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, label=label)))
 
 
 def test_verify_file_float_scalars_exit_two(tmp_path, capsys):

@@ -92,16 +92,15 @@ def test_axes_and_ranks_match_exact_lane(kind):
 @pytest.mark.parametrize("kind", PAIR_TYPES)
 def test_simulate_samples_the_batched_lane(kind):
     l = loop(kind)
-    samples = simulate(l, TS)
-    poses_a, poses_b = poses_many(l.chain_a.factors, TS), poses_many(l.chain_b.factors, TS)
-    axes = axes_many(l, TS)
-    for i, (s, t) in enumerate(zip(samples, TS)):
-        assert np.array_equal(rows(s.poses_a), poses_a[i])
-        assert np.array_equal(rows(s.poses_b), poses_b[i])
-        assert np.array_equal(axis_rows(s.axes), axes[i])
-        assert s.closure_residual < REL_TOL
-        assert closure_residual(l, t) == s.closure_residual
-        for angle, j in zip(s.angles, l.joints):
+    s = simulate(l, TS)
+    assert np.array_equal(s.t, TS)
+    assert np.array_equal(s.poses_a, poses_many(l.chain_a.factors, TS))
+    assert np.array_equal(s.poses_b, poses_many(l.chain_b.factors, TS))
+    assert np.array_equal(s.axes, axes_many(l, TS))
+    assert np.all(s.closure_residual < REL_TOL)
+    for i, t in enumerate(TS):
+        assert closure_residual(l, t) == s.closure_residual[i]
+        for angle, j in zip(s.angles[i], l.joints):
             assert angle == j.multiplicity * joint_angle(j.root, t)
 
 

@@ -33,7 +33,7 @@ from darboux7r import (
     trace_point,
 )
 from darboux7r.conics import ConicClass
-from darboux7r.errors import ClosureFailure
+from darboux7r.errors import ClosureFailure, KinematicsError
 from darboux7r.linkage import axes_at, chain_poses
 
 
@@ -138,6 +138,14 @@ def test_parallel_groups_stable_under_configuration_change():
             assert parallel_groups(l, t) == home
 
 
+def test_parallel_groups_compare_exactly():
+    # Axes are compared with exact 2x2 minors only, so a float t is refused.
+    l = linkage_fi_fiii()
+    with pytest.raises(KinematicsError):
+        parallel_groups(l, 0.5)
+    assert parallel_groups(l, Fraction(1, 2)) == ((1, 2), (3, 4, 5), (6, 7))
+
+
 def test_substructure_fiv():
     rep = substructure_report(linkage_fiv())
     assert rep.has_four_bar
@@ -202,13 +210,13 @@ def test_collapsed_joint_axes_coincide():
 def test_simulate_rows():
     l = linkage_fi_fiii()
     ts = t_grid(9)
-    samples = simulate(l, ts)
-    assert len(samples) == 9
-    for s in samples:
-        assert len(s.angles) == 7
-        assert s.closure_residual < 1e-12
-        assert len(s.axes) == 7
-        assert s.coupler_pose == s.poses_a[-1]
+    s = simulate(l, ts)
+    assert s.t.shape == (9,)
+    assert s.angles.shape == (9, 7)
+    assert s.poses_a.shape == (9, 4, 8) and s.poses_b.shape == (9, 6, 8)
+    assert s.axes.shape == (9, 7, 6)
+    assert s.closure_residual.shape == (9,)
+    assert np.all(s.closure_residual < 1e-12)
 
 
 def test_simulate_collapsed_angle_is_doubled():
@@ -216,9 +224,9 @@ def test_simulate_collapsed_angle_is_doubled():
     collapsed = next(j for j in l.joints if j.multiplicity == 2)
     idx = l.joints.index(collapsed)
     t = 0.3
-    s = simulate(l, [t])[0]
+    s = simulate(l, [t])
     single = joint_angle(MotionPoly.t_minus(collapsed.root), t)
-    assert s.angles[idx] == pytest.approx(2 * single)
+    assert s.angles[0, idx] == pytest.approx(2 * single)
 
 
 def test_axes_at_home_match_home_axes():

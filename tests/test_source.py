@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import darboux7r
@@ -19,4 +20,23 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_only_stdlib_numpy_and_the_package():
+    # The runtime dependency is numpy alone; sympy and mpmath may be installed
+    # but must not be imported by the package.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "darboux7r"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
     assert found == []
