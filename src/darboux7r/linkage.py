@@ -62,10 +62,18 @@ class Joint:
 
 @dataclass(frozen=True)
 class Linkage:
+    """Closed loop of two chains; build it with build_linkage.
+
+    product_a is the exact product of chain A's factors, which
+    build_linkage forms for the closure check; the closure certificate,
+    coupler traces and plot overlays reuse it.
+    """
+
     chain_a: Factorization
     chain_b: Factorization
     joints: Tuple[Joint, ...]
     degenerate: bool
+    product_a: MotionPoly
 
     @property
     def joint_count(self) -> int:
@@ -107,12 +115,11 @@ def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
     A pair of identical chains closes trivially but has zero relative
     motion; it is flagged degenerate rather than rejected.
     """
-    lhs = fa.product() * fb.cofactor
-    rhs = fb.product() * fa.cofactor
-    if lhs != rhs:
+    product_a = fa.product()
+    if product_a * fb.cofactor != fb.product() * fa.cofactor:
         raise ClosureFailure("chains do not parameterize the same motion")
     joints = tuple(_chain_joints(fa, "A") + list(reversed(_chain_joints(fb, "B"))))
-    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors)
+    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=product_a)
 
 
 def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:
@@ -368,7 +375,7 @@ def trace_point(
 ) -> conics.TrajectoryReport:
     """Sample the orbit of a coupler point and classify the trajectory."""
     if isinstance(source, Linkage):
-        poly = source.chain_a.product()
+        poly = source.product_a
     elif isinstance(source, Factorization):
         poly = source.product()
     else:

@@ -152,7 +152,7 @@ def read_exact_factorization(path: str) -> Factorization:
 
 def closure_certificate(linkage: Linkage) -> str:
     """SHA-256 of the canonical JSON of the common motion (times both cofactors)."""
-    common = linkage.chain_a.product() * linkage.chain_b.cofactor
+    common = linkage.product_a * linkage.chain_b.cofactor
     payload = json.dumps(motionpoly_to_json(common), separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -73,7 +73,7 @@ def render_linkage(
 
     trace_pts: List[List[float]] = []
     if trace_point is not None:
-        trace_pts = linkage.chain_a.product().orbit(trace_point, t_grid(_TRACE_SAMPLES)).tolist()
+        trace_pts = linkage.product_a.orbit(trace_point, t_grid(_TRACE_SAMPLES)).tolist()
 
     # Shared bounding box so all frames use one scale.
     pts2: List[Tuple[float, float]] = []

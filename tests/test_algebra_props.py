@@ -29,6 +29,7 @@ from darboux7r import (  # noqa: E402
 )
 from darboux7r.cli import FAMILIES, main  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Quaternion  # noqa: E402
+from darboux7r.scalars import is_exact  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 nonzero = rationals.filter(lambda v: v != 0)
@@ -49,6 +50,57 @@ json_values = st.recursive(
 )
 
 EXAMPLES = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def sparse_quaternions(draw) -> Quaternion:
+    """Rational quaternions with at least two coefficients an exact zero (int or Fraction)."""
+    zeros = draw(st.sets(st.integers(0, 3), min_size=2))
+    zero = st.sampled_from([0, Fraction(0)])
+    return Quaternion(*(draw(zero if i in zeros else rationals) for i in range(4)))
+
+
+def dense_hamilton(a: Quaternion, b: Quaternion) -> Quaternion:
+    """The Hamilton product with all 16 terms written out."""
+    return Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_quaternions() | quaternions, sparse_quaternions())
+def test_sparse_product_equals_the_dense_formula(a, b):
+    for left, right in ((a, b), (b, a)):
+        product = left * right
+        assert product == dense_hamilton(left, right)
+        assert all(is_exact(v) for v in (product.w, product.x, product.y, product.z))
+
+
+BASIS = {"1": Quaternion(1, 0, 0, 0), "i": Quaternion(0, 1, 0, 0),
+         "j": Quaternion(0, 0, 1, 0), "k": Quaternion(0, 0, 0, 1)}
+# Row times column, e.g. i * j = k and j * i = -k.
+BASIS_PRODUCTS = {
+    "1": ("1", "i", "j", "k"),
+    "i": ("i", "-1", "k", "-j"),
+    "j": ("j", "-k", "-1", "i"),
+    "k": ("k", "j", "-i", "-1"),
+}
+
+
+@pytest.mark.parametrize("lane", [int, Fraction, float])
+def test_basis_products(lane):
+    def cast(q):
+        return Quaternion(*(lane(v) for v in (q.w, q.x, q.y, q.z)))
+
+    for left, row in BASIS_PRODUCTS.items():
+        for right, expected in zip(BASIS, row):
+            value = BASIS[expected.lstrip("-")]
+            if expected.startswith("-"):
+                value = -value
+            assert cast(BASIS[left]) * cast(BASIS[right]) == value, (left, right)
 
 
 @EXAMPLES

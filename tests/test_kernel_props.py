@@ -8,6 +8,7 @@ lane's errors.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from darboux7r import DualQuaternion, NotADisplacement, ZeroPrimal  # noqa: E402
-from darboux7r.dualquat import Quaternion, act_many, dq_mul_many, ray_gap  # noqa: E402
+from darboux7r.dualquat import Quaternion, _qmul, act_many, dq_mul_many, ray_gap  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
@@ -32,6 +33,10 @@ def displacements(draw) -> DualQuaternion:
     p = draw(quaternions.filter(lambda q: not q.is_zero()))
     v = Quaternion(0, draw(rationals), draw(rationals), draw(rationals))
     return DualQuaternion(p, (v * p).scale(Fraction(1, 2)))
+
+
+special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
+float_quaternions = st.builds(Quaternion, *[special_floats] * 4)
 
 
 def row(h: DualQuaternion) -> np.ndarray:
@@ -52,6 +57,22 @@ def test_product_repeats_scalar_product(a, b):
     batched = dq_mul_many(row(a), row(b))
     assert np.array_equal(batched, row(a.to_float() * b.to_float()))
     assert close(batched, row(a * b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_quaternions, float_quaternions)
+def test_float_quaternion_product_is_the_kernel_product_bit_for_bit(a, b):
+    # Float zeros are never skipped: signed zeros and inf * 0 = nan must survive.
+    q = a * b
+    assert all(isinstance(v, float) for v in (q.w, q.x, q.y, q.z))
+    scalar = np.array([q.w, q.x, q.y, q.z])
+    with np.errstate(all="ignore"):
+        batched = _qmul(np.array([a.w, a.x, a.y, a.z]), np.array([b.w, b.x, b.y, b.z]))
+    assert np.array_equal(scalar, batched, equal_nan=True)
+    # IEEE 754 leaves the sign of a NaN open, and CPython's float add returns
+    # either NaN operand, so only the signs of numbers (zeros above all) compare.
+    numbers = ~np.isnan(scalar)
+    assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
 
 
 @settings(max_examples=30, deadline=None)
