@@ -4,11 +4,15 @@ Subcommands: factor, verify, linkage, simulate, trace, mobility, plot.
 Rational parameters are passed as strings like "3/2" (use --b=-1/2 for
 negative fractions).  Exit codes: 0 success, 1 verification failure,
 2 usage, parameter or input-file error.
+
+build_parser makes the argparse tree on its first call, from main, and
+returns that same parser to every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -65,7 +69,10 @@ def _point3(text: str) -> Tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected x,y,z but got {text!r}")
-    return tuple(float(Fraction(p.strip())) for p in parts)
+    try:
+        return tuple(float(Fraction(p.strip())) for p in parts)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is beyond the float64 range") from None
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -266,6 +273,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darboux7r",

@@ -11,7 +11,9 @@ Joints are numbered 1..n around the loop: chain A base to coupler in
 factor order, then chain B coupler back to base (reverse factor order).
 The pose of link j at parameter t is the product of its chain's first j
 factor values; axes are stored in the chain's reference placement and
-transported by those poses.
+transported by those poses.  Building a loop transports no axis: the
+exact home axes (t = 0), which only the linkage JSON and the
+parallel-group and Sarrus analysis read, are computed on first use.
 
 Two lanes evaluate them: chain_poses and axes_at take one exact (or
 float) parameter through the scalar algebra, while simulate, mobility,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,13 +50,12 @@ RANK_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Joint:
-    """One revolute joint: chain side, collapsed factor positions, geometry."""
+    """One revolute joint: chain side, collapsed factor positions, root and reference axis."""
 
     chain: str  # "A" or "B"
     factor_indices: Tuple[int, ...]  # 0-based positions in the chain's factor list
     root: DualQuaternion
     reference_axis: AxisLine  # in the chain's reference placement
-    home_axis: AxisLine  # in the world frame at t = 0
 
     @property
     def multiplicity(self) -> int:
@@ -66,7 +68,8 @@ class Linkage:
 
     product_a is the exact product of chain A's factors, which
     build_linkage forms for the closure check; the closure certificate,
-    coupler traces and plot overlays reuse it.
+    coupler traces and plot overlays reuse it.  home_axes forms the exact
+    t = 0 axes on its first call and keeps them.
     """
 
     chain_a: Factorization
@@ -80,7 +83,12 @@ class Linkage:
         return len(self.joints)
 
     def home_axes(self) -> Tuple[AxisLine, ...]:
-        return tuple(j.home_axis for j in self.joints)
+        """axes_at(self, 0): the exact world axes at t = 0, in cycle order."""
+        return self._home_axes
+
+    @cached_property
+    def _home_axes(self) -> Tuple[AxisLine, ...]:
+        return axes_at(self, 0)
 
 
 def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
@@ -97,13 +105,10 @@ def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
 
 def _chain_joints(f: Factorization, side: str) -> List[Joint]:
     f.check_rotation_chain()
-    poses_home = chain_poses(f, 0)
     joints = []
     for run in _runs_of_equal(f.factors):
         root = -f.factors[run[0]].coeff(0)
-        reference = root.axis()
-        home = transform_axis(poses_home[run[0]], reference)
-        joints.append(Joint(side, run, root, reference, home))
+        joints.append(Joint(side, run, root, root.axis()))
     return joints
 
 

@@ -11,13 +11,14 @@ factors t - h.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .dualquat import DQ_ONE, DQ_ONE_ROW, DualQuaternion, act_many, dq_mul_many, viszero
-from .errors import NonGeneric, NonInvertibleLeader, NotADivisor
+from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact
 
 
@@ -260,11 +261,21 @@ def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
 
 
 def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
-    """Float64 coefficients, shape (len(polys), max degree + 1, 8), zero padded on top."""
+    """Float64 coefficients, shape (len(polys), max degree + 1, 8), zero padded on top.
+
+    An exact coefficient beyond the float64 range raises KinematicsError.
+    """
     out = np.zeros((len(polys), max((len(q.coeffs) for q in polys), default=0), 8))
     for i, q in enumerate(polys):
         for k, c in enumerate(q.coeffs):
-            out[i, k] = [float(v) for v in c.coeffs()]
+            try:
+                out[i, k] = [float(v) for v in c.coeffs()]
+            except OverflowError:
+                v = abs(max(c.coeffs(), key=abs))
+                size = math.log10(v.numerator) - math.log10(v.denominator)
+                raise KinematicsError(
+                    f"an exact coefficient of about 1e{size:+.0f} is beyond the float64 range"
+                ) from None
     return out
 
 

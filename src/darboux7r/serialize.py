@@ -170,9 +170,9 @@ def linkage_to_json(linkage: Linkage) -> Dict[str, Any]:
                 "factor_indices": list(j.factor_indices),
                 "root": dq_to_json(j.root),
                 "reference_axis": axis_to_json(j.reference_axis),
-                "home_axis": axis_to_json(j.home_axis),
+                "home_axis": axis_to_json(home),
             }
-            for i, j in enumerate(linkage.joints)
+            for i, (j, home) in enumerate(zip(linkage.joints, linkage.home_axes()))
         ],
         "closure_certificate_sha256": closure_certificate(linkage),
     }

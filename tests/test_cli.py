@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import darboux7r
 from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, factor_fiii, serialize
 from darboux7r.cli import PAIR_TYPES, SINGLE_TYPES, main
 
@@ -343,3 +347,92 @@ def test_t_max_must_be_finite_and_bounded(capsys):
     for value in ("inf", "nan", "1e308"):
         for command in ("simulate", "mobility", "trace", "plot"):
             assert_flag_error(capsys, "--t-max", command, "--t-min=0", f"--t-max={value}")
+
+
+def run_exiting(capsys, *argv):
+    """run, but an argparse exit (usage error, --help) gives its exit code too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_fresh_process(env, *argv):
+    script = "import sys; from darboux7r.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # main keeps one parser per process; no parsed value may leak from one
+    # call into the next.
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps usage and help to it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(darboux7r.__file__)))
+    sequence = [
+        ("trace", "--type", "FIV", "--samples", "8", "--point", "1,0,0", "--point", "0,1/2,0"),
+        ("trace", "--type", "FIV", "--samples", "8"),  # the --point list must not carry over
+        ("simulate", "--samples", "three"),  # usage error, exit 2
+        ("simulate", "--type", "FIV", "--samples", "3"),
+        ("verify", "--type", "FI", "--a", "3/2"),
+        ("verify",),  # neither --type nor --from-file
+        ("--help",),
+        ("mobility", "--help"),
+    ]
+    reused = [run_exiting(capsys, *argv) for argv in sequence]
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 2, 0, 0]
+    for argv, result in zip(sequence, reused):
+        assert result == run_fresh_process(env, *argv), argv
+
+
+@pytest.mark.parametrize("command", ["trace", "plot"])
+def test_point_beyond_float_range_exits_two(capsys, command):
+    code, out, err = run_exiting(capsys, command, "--type", "FIV", "--point=1e400,0,0")
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        f"darboux7r {command}: error: argument --point: '1e400,0,0' is beyond the float64 range"
+    ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "mobility", "trace", "plot", "linkage"])
+def test_parameter_beyond_float_range_exits_two(capsys, command):
+    code, out, err = run(capsys, command, "--a", "1e400")
+    assert code == 2
+    assert out == ""
+    assert err == "error: an exact coefficient of about 1e+400 is beyond the float64 range\n"
+
+
+def test_exact_commands_take_parameters_beyond_float_range(capsys):
+    code, out, _ = run(capsys, "factor", "--type", "FI", "--a", "1e400")
+    assert code == 0
+    assert json.loads(out)["params"]["a"] == str(10**400)
+    code, out, _ = run(capsys, "verify", "--type", "FIII", "--a", "1e400", "--x", "1/3")
+    assert code == 0
+    assert "PASS" in out
+
+
+def test_home_axes_are_transported_only_for_linkage(capsys, monkeypatch):
+    # The exact t = 0 axes serve only the linkage JSON and its substructure
+    # report, which share one computation; the sampling commands never form them.
+    calls = []
+    original = darboux7r.linkage.transform_axis
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(darboux7r.linkage, "transform_axis", counted)
+    for kind in PAIR_TYPES:
+        loop = ["--type", kind, "--samples", "8"]
+        for argv in (["simulate", *loop], ["mobility", *loop], ["trace", *loop], ["plot", *loop]):
+            assert run(capsys, *argv)[0] == 0
+            assert calls == [], argv
+        code, out, _ = run(capsys, "linkage", "--type", kind)
+        assert code == 0
+        assert len(calls) == json.loads(out)["linkage"]["joint_count"], kind
+        calls.clear()

@@ -235,6 +235,13 @@ def test_axes_at_home_match_home_axes():
         assert ax.same_line(home)
 
 
+def test_home_axes_are_the_exact_axes_at_zero():
+    for l in (linkage_fi_fiii(), linkage_fi_fii(), linkage_fiv()):
+        home = l.home_axes()
+        assert home == axes_at(l, 0)  # the same Fractions, not only the same lines
+        assert l.home_axes() is home  # computed once per loop
+
+
 def test_trace_coupler_point_is_ellipse():
     rng = random.Random(43)
     l = linkage_fi_fiii()
