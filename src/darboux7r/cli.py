@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import serialize, svgplot
 from .darboux import (
     DarbouxParams,
@@ -346,7 +348,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify" and args.type is None and args.from_file is None:
         parser.error("verify needs --type or --from-file")
     try:
-        return args.func(args)
+        # A float lane sample beyond float64 would go on as inf and nan.
+        with np.errstate(over="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(
+            f"error: float64 overflow on the float lane ({exc}); use smaller parameters",
+            file=sys.stderr,
+        )
+        return 2
     except (KinematicsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

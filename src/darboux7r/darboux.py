@@ -250,7 +250,7 @@ def factor_fiii(
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     cofactor = t_squared_plus_one()
     pc = darboux_c(p) * cofactor
-    q7 = _exact_quotient(pc, q6 * q5 * q4 * q4)
+    q7 = _exact_quotient(pc, poly_product((q6, q5, q4, q4)))
     return Factorization(
         label,
         p,

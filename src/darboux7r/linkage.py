@@ -42,7 +42,7 @@ from .dualquat import (
     transform_axis_many,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
-from .motionpoly import MotionPoly, poses_many
+from .motionpoly import MotionPoly, integral_product, poses_many
 from .scalars import Scalar, is_exact
 
 RANK_RTOL = 1e-8
@@ -120,11 +120,13 @@ def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
     A pair of identical chains closes trivially but has zero relative
     motion; it is flagged degenerate rather than rejected.
     """
-    product_a = fa.product()
-    if product_a * fb.cofactor != fb.product() * fa.cofactor:
+    # Compared in integral form: product(f) = prod_f / d_f.
+    prod_a, da = integral_product(fa.factors)
+    prod_b, db = integral_product(fb.factors)
+    if prod_a * fb.cofactor * db != prod_b * fa.cofactor * da:
         raise ClosureFailure("chains do not parameterize the same motion")
     joints = tuple(_chain_joints(fa, "A") + list(reversed(_chain_joints(fb, "B"))))
-    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=product_a)
+    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=prod_a.over(da))
 
 
 def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:

@@ -7,19 +7,34 @@ coefficient there are unique Q, R with C = Q*D + R and deg R < deg D.
 Right evaluation substitutes t = h with powers of h to the right of the
 coefficients; its zeros correspond exactly to monic linear right
 factors t - h.
+
+Exact polynomials clear their denominators in one place: the integral
+form (d*P, d) of MotionPoly.integral has int coefficients, d the lcm of
+the denominators.  poly_product multiplies integral forms and divides by
+the product of the scales once; divmod_right pseudo-divides integral
+forms by the norm of the divisor's leading coefficient; and
+factorization_residual compares integral polynomials with their scales
+cross-multiplied.  So the Fraction arithmetic of these routines happens
+once per result coefficient, and every exact identity is still decided
+with zero tolerance.  A float or symbolic polynomial is its own integral
+form with scale 1, so it is multiplied, and divided by the inverse of the
+leading coefficient, in plain scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dualquat import DQ_ONE, DQ_ONE_ROW, DualQuaternion, act_many, dq_mul_many, viszero
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, is_exact, sdiv
 
 
 def _trim(coeffs: Sequence) -> Tuple:
@@ -212,28 +227,54 @@ class MotionPoly:
         return acc
 
     def divmod_right(self, divisor: "MotionPoly") -> Tuple["MotionPoly", "MotionPoly"]:
-        """Right division: returns (Q, R) with self = Q*divisor + R, deg R < deg divisor."""
+        """Right division: returns (Q, R) with self = Q*divisor + R, deg R < deg divisor.
+
+        Exact operands are pseudo-divided in integral form.  The divisor's
+        leading coefficient L has the central norm L*conj(L) = n0 + eps*n1,
+        so adj = conj(L)*(n0 - eps*n1) satisfies adj*L = n0^2 =: m (both
+        reduced by their gcd).  After scaling the dividend by m^steps,
+        every quotient term rem_top*adj/m is integral, so the loop runs on
+        ints, and Q and R are divided by the accumulated scale once.  They
+        are the unique quotient and remainder either way.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if not divisor.leading.invertible():
             raise NonInvertibleLeader(
                 "divisor's leading coefficient has zero primal part"
             )
-        lead_inv = divisor.leading.inverse()
+        forms = _integral_forms((self, divisor))
+        if forms is None:
+            (num, num_scale), (den, den_scale) = (self, 1), (divisor, 1)
+            lead_adj, m = divisor.leading.inverse(), 1
+        else:
+            (num, num_scale), (den, den_scale) = forms
+            n0, n1 = den.leading.norm()
+            c = den.leading.conj()
+            adj = DualQuaternion(c.p.scale(n0), c.d.scale(n0) - c.p.scale(n1)).coeffs()
+            g = math.gcd(n0 * n0, *adj)
+            adj, m = [v // g for v in adj], n0 * n0 // g
+            # A real leading coefficient reduces adj to 1.
+            lead_adj = None if adj == _ONE_COEFFS else DualQuaternion.from_coeffs(adj)
         dn = divisor.degree
-        rem = list(self.coeffs)
-        zero = DualQuaternion.from_scalar(0)
-        quot = [zero] * max(0, len(rem) - dn)
+        steps = max(0, len(num.coeffs) - dn)
+        rem = list(num.coeffs) if m == 1 else [h.scale(m**steps) for h in num.coeffs]
+        quot = [DualQuaternion.from_scalar(0)] * steps
         # Synthetic division; the cancelled leading term is popped rather
         # than subtracted so float rounding cannot stall the loop.
         while len(rem) - 1 >= dn:
             k = len(rem) - 1 - dn
-            qk = rem[-1] * lead_inv
+            qk = rem.pop()
+            if lead_adj is not None:
+                qk = qk * lead_adj
+            if m != 1:
+                qk = DualQuaternion.from_coeffs([v // m for v in qk.coeffs()])
             quot[k] = qk
-            rem.pop()
             for i in range(dn):
-                rem[i + k] = rem[i + k] - qk * divisor.coeffs[i]
-        return MotionPoly(tuple(quot)), MotionPoly(tuple(rem))
+                rem[i + k] = rem[i + k] - qk * den.coeffs[i]
+        # m^steps * num_scale * self = quot * divisor * den_scale + rem
+        scale = m**steps * num_scale
+        return (MotionPoly(tuple(quot)) * den_scale).over(scale), MotionPoly(tuple(rem)).over(scale)
 
     def is_motion_polynomial(self) -> bool:
         """Invertible leading coefficient and a real norm polynomial."""
@@ -247,23 +288,84 @@ class MotionPoly:
     def to_float(self) -> "MotionPoly":
         return MotionPoly(tuple(c.to_float() for c in self.coeffs))
 
+    def integral(self) -> Tuple["MotionPoly", int]:
+        """Integral form (d*self, d): int coefficients, d the lcm of their denominators.
+
+        A polynomial with a float or symbolic coefficient is its own
+        integral form (self, 1).
+        """
+        forms = _integral_forms((self,))
+        return (self, 1) if forms is None else forms[0]
+
+    def over(self, d: int) -> "MotionPoly":
+        """self / d for int coefficients and an int d > 0; each becomes Fraction(n, d) once.
+
+        d = 1 returns self, so float and symbolic integral forms pass through.
+        """
+        if d == 1:
+            return self
+        # Lists, here and in _integral_forms: tuple() and f(*...) of a
+        # generator resize the tuple they build, which fills CPython's
+        # per-size tuple free lists and so raises peak memory.
+        return MotionPoly(tuple([
+            DualQuaternion.from_coeffs([Fraction(v, d) if v else 0 for v in c.coeffs()])
+            for c in self.coeffs
+        ]))
+
 
 def _coeff_is_real(c: DualQuaternion) -> bool:
     return viszero(c.p.vector) and c.d.is_zero()
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+_ONE_COEFFS = [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def _integral_forms(polys: Sequence[MotionPoly]) -> Optional[List[Tuple[MotionPoly, int]]]:
+    """Integral forms of polys, or None if any coefficient is not an int or a Fraction."""
+    values = [[v for c in p.coeffs for v in c.coeffs()] for p in polys]
+    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(values))):
+        return None
+    forms = []
+    for row in values:
+        d = math.lcm(*[v.denominator for v in row])
+        ints = [v.numerator * (d // v.denominator) for v in row]
+        coeffs = [DualQuaternion.from_coeffs(ints[i:i + 8]) for i in range(0, len(ints), 8)]
+        forms.append((MotionPoly(tuple(coeffs)), d))
+    return forms
+
+
+def integral_product(factors: Sequence[MotionPoly]) -> Tuple[MotionPoly, int]:
+    """(d*P, d) for P = poly_product(factors): the factors' integral forms multiplied.
+
+    d is the product of their scales; float or symbolic factors give (P, 1).
+    """
+    forms = _integral_forms(factors)
+    if forms is None:
+        # Float or symbolic: start from 1, as 1 * f turns f's -0.0 dual
+        # coefficients into 0.0.  Exact forms start from the first factor.
+        forms = [(MotionPoly.constant(DQ_ONE), 1)] + [(f, 1) for f in factors]
+    acc, scale = forms[0] if forms else (MotionPoly.constant(DQ_ONE), 1)
+    for f, d in forms[1:]:
+        acc, scale = acc * f, scale * d
+    return acc, scale
+
+
 def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
     """Ordered product factors[0] * factors[1] * ... (left to right)."""
-    acc = MotionPoly.constant(DQ_ONE)
-    for f in factors:
-        acc = acc * f
-    return acc
+    return MotionPoly.over(*integral_product(factors))
+
+
+# The float lane multiplies coefficients pairwise (norms, dot products), so
+# each must square to a finite float64.
+COEFF_ABS_MAX = math.sqrt(sys.float_info.max)
 
 
 def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
     """Float64 coefficients, shape (len(polys), max degree + 1, 8), zero padded on top.
 
-    An exact coefficient beyond the float64 range raises KinematicsError.
+    An exact coefficient beyond the float64 range, or beyond COEFF_ABS_MAX
+    (about 1.3e154), raises KinematicsError.
     """
     out = np.zeros((len(polys), max((len(q.coeffs) for q in polys), default=0), 8))
     for i, q in enumerate(polys):
@@ -276,6 +378,11 @@ def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
                 raise KinematicsError(
                     f"an exact coefficient of about 1e{size:+.0f} is beyond the float64 range"
                 ) from None
+    top = np.abs(out).max(initial=0.0)
+    if top > COEFF_ABS_MAX:
+        raise KinematicsError(
+            f"an exact coefficient of about 1e{math.log10(top):+.0f} overflows float64 when squared"
+        )
     return out
 
 
@@ -335,9 +442,14 @@ def right_factor_from_quadratic(c: MotionPoly, m: RealPoly) -> DualQuaternion:
 def factorization_residual(
     factors: Sequence[MotionPoly], target: MotionPoly, cofactor: RealPoly = ONE_POLY
 ) -> Scalar:
-    """Largest |coefficient| of product(factors) - cofactor * target."""
-    diff = poly_product(factors) - cofactor.to_motion() * target
-    return max((abs(v) for c in diff.coeffs for v in c.coeffs()), default=0)
+    """Largest |coefficient| of product(factors) - cofactor * target.
+
+    With product(factors) = P/dP and cofactor * target = C/dC in integral
+    form this is max |P*dC - C*dP| / (dP*dC), divided once.
+    """
+    (p, dp), (c, dc) = integral_product(factors), integral_product((cofactor.to_motion(), target))
+    diff = p * dc - c * dp
+    return sdiv(max((abs(v) for h in diff.coeffs for v in h.coeffs()), default=0), dp * dc)
 
 
 def verify_factorization(

@@ -8,8 +8,12 @@ would silently produce a float) and convert between the two lanes.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Union
+
+from .errors import KinematicsError
 
 Scalar = Union[int, Fraction, float]
 
@@ -32,7 +36,19 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> Union[str, float]:
-    """Exact scalars render as canonical rational strings, floats pass through."""
+    """Exact scalars render as canonical rational strings, floats pass through.
+
+    An exact value with more digits than the interpreter converts to text
+    (sys.get_int_max_str_digits) raises KinematicsError.
+    """
     if is_exact(x):
-        return str(Fraction(x))
+        q = Fraction(x)
+        try:
+            return str(q)
+        except ValueError:
+            size = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+            raise KinematicsError(
+                f"an exact value of about 1e{size:+.0f} has more digits than the "
+                f"{sys.get_int_max_str_digits()} that can be written"
+            ) from None
     return float(x)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -414,6 +415,53 @@ def test_exact_commands_take_parameters_beyond_float_range(capsys):
     code, out, _ = run(capsys, "verify", "--type", "FIII", "--a", "1e400", "--x", "1/3")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mobility", "--x", "1e300"),
+        ("simulate", "--x", "1e300"),
+        ("plot", "--x", "1e300"),
+        ("linkage", "--x", "1e300"),
+        ("trace", "--b", "1e200"),
+        ("trace", "--c", "1e300"),
+    ],
+)
+def test_coefficients_whose_squares_overflow_float64_exit_two(capsys, argv):
+    size = argv[-1].split("e")[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: an exact coefficient of about 1e+{size} overflows float64 when squared\n"
+
+
+def test_samples_that_overflow_float64_exit_two(capsys):
+    argv = ("simulate", "--a", "1e100", "--t-min=-1e16", "--t-max=1e16", "--samples", "5")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: float64 overflow on the float lane (")
+    assert err.count("\n") == 1
+
+
+def test_exact_values_with_too_many_digits_exit_two(capsys):
+    code, out, err = run(capsys, "factor", "--type", "FI", "--a", "1e5000")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: an exact value of about 1e+5000 has more digits than the {limit} "
+        "that can be written\n"
+    )
+    for kind in ("FI", "FIII"):
+        code, out, _ = run(capsys, "verify", "--type", kind, "--a", "1e5000", "--x", "1/3")
+        assert code == 0
+        assert out.splitlines() == [
+            "max |residual coefficient|: 0",
+            f"PASS: {kind} factors multiply to cofactor * C exactly",
+        ]
 
 
 def test_home_axes_are_transported_only_for_linkage(capsys, monkeypatch):

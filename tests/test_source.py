@@ -40,3 +40,20 @@ def test_imports_only_stdlib_numpy_and_the_package():
                 f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
             ]
     assert found == []
+
+
+MAX_DEFAULTED_PARAMETERS = 16
+
+
+def test_parameters_with_a_default_stay_at_most_sixteen():
+    # Each defaulted parameter is a settable value that tests and benchmarks
+    # must cover; a new one replaces an old one or becomes a constant.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in (*node.args.defaults, *node.args.kw_defaults)
+        if default is not None
+    ]
+    assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
