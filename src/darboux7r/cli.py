@@ -43,7 +43,7 @@ from .linkage import (
     trace_point,
 )
 from .motionpoly import factorization_residual
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar
 
 # Factorization families by label, each built from (a, b, c, x, y).  Only
 # FIII uses the free pair x, y; FIV is a fixed instance and uses nothing.
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     else:
         f = _build_factorization(args)
     failure, residual = _check(f)
-    print(f"max |residual coefficient|: {residual}")
+    print(f"max |residual coefficient|: {format_scalar(residual)}")
     if failure is None:
         print(f"PASS: {f.label} factors multiply to cofactor * C exactly")
         return 0
@@ -268,6 +268,8 @@ def cmd_mobility(args) -> int:
 
 def cmd_plot(args) -> int:
     ts = _sample_ts(args)
+    if args.point and len(args.point) > 1:
+        raise KinematicsError("plot overlays one orbit: give --point at most once")
     linkage = _build_linkage(args)
     point = args.point[0] if args.point else None
     svg = svgplot.render_linkage(linkage, ts, view=args.view, trace_point=point)

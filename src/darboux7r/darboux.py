@@ -249,7 +249,7 @@ def factor_fiii(
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     cofactor = t_squared_plus_one()
-    pc = darboux_c(p) * cofactor
+    pc = poly_product((darboux_c(p), cofactor.to_motion()))
     q7 = _exact_quotient(pc, poly_product((q6, q5, q4, q4)))
     return Factorization(
         label,
@@ -373,8 +373,8 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
     """
     q4root = DualQuaternion(Q_K, Quaternion(0, x, y, 0))
     q4 = MotionPoly.t_minus(q4root)
-    pc = darboux_c(p) * t_squared_plus_one()
-    c2 = _exact_quotient(pc, q4 * q4)
+    pc = poly_product((darboux_c(p), t_squared_plus_one().to_motion()))
+    c2 = _exact_quotient(pc, poly_product((q4, q4)))
     conditions, quotient_for = _circularity_conditions(c2, -Q_K)
     alpha, beta = _solve_affine_pair(conditions)
     quot = quotient_for(alpha, beta)

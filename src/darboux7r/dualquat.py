@@ -9,11 +9,7 @@ norm (n1 = 0) and nonzero primal part act on points of projective
 
 Coefficients are either exact rationals (int / Fraction) or floats; all
 formulas are polynomial except for a few divisions routed through
-scalars.sdiv, so both backends share the code.  The quaternion product
-skips the terms with an exact zero coefficient (int or Fraction 0): the
-rotation factors t - h of the motion polynomials are sparse, so most
-terms would be Fraction products of zero.  Float coefficients, zeros
-included, are always multiplied, so the float lane keeps IEEE semantics.
+scalars.sdiv, so both backends share the code.
 
 The float64 array kernel at the end of the module (dq_mul_many,
 act_many, transform_axis_many; motionpoly.poses_many builds on it)
@@ -63,16 +59,6 @@ def vcross(u: Vec3, v: Vec3) -> Vec3:
 
 def viszero(u: Vec3) -> bool:
     return u[0] == 0 and u[1] == 0 and u[2] == 0
-
-
-# Hamilton's rule for the basis (1, i, j, k): e_a * e_b = +-e_c is stored
-# as _HAMILTON[a][b] = (c, True if the sign is minus).
-_HAMILTON = (
-    ((0, False), (1, False), (2, False), (3, False)),
-    ((1, False), (0, True), (3, False), (2, True)),
-    ((2, False), (3, True), (0, True), (1, False)),
-    ((3, False), (2, False), (1, True), (0, True)),
-)
 
 
 @dataclass(frozen=True)
@@ -126,30 +112,18 @@ class Quaternion:
     def __mul__(self, other):
         """Hamilton product, or scaling by a scalar.
 
-        Only coefficient pairs without an exact zero (int or Fraction 0)
-        are multiplied, since the factors of a motion polynomial are
-        sparse; a component whose terms are all skipped is the exact 0.
-        Float coefficients are never skipped, so signed zeros and
-        inf * 0 = nan survive.  Each component adds its terms in the
-        order of the left factor's w, x, y, z, as the dense formula
-        does, so on floats the result equals the array kernel's _qmul.
+        The terms are added in the order of the array kernel's _qmul, so
+        on floats the two agree bit for bit.
         """
         if isinstance(other, Quaternion):
-            out = [None, None, None, None]
-            right = other._terms()
-            for i, u in self._terms():
-                row = _HAMILTON[i]
-                for j, v in right:
-                    k, negative = row[j]
-                    term = u * v
-                    acc = out[k]
-                    if acc is None:
-                        out[k] = -term if negative else term
-                    elif negative:
-                        out[k] = acc - term
-                    else:
-                        out[k] = acc + term
-            return Quaternion(*[0 if c is None else c for c in out])
+            aw, ax, ay, az = self.w, self.x, self.y, self.z
+            bw, bx, by, bz = other.w, other.x, other.y, other.z
+            return Quaternion(
+                aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw,
+            )
         if isinstance(other, (int, float)) or is_exact(other):
             return self.scale(other)
         return NotImplemented
@@ -159,14 +133,6 @@ class Quaternion:
         if isinstance(other, (int, float)) or is_exact(other):
             return self.scale(other)
         return NotImplemented
-
-    def _terms(self):
-        """(index, coefficient) of every coefficient that is not an exact zero."""
-        return [
-            (i, c)
-            for i, c in enumerate((self.w, self.x, self.y, self.z))
-            if c or isinstance(c, float)
-        ]
 
     def is_float(self) -> bool:
         return not (

@@ -38,12 +38,11 @@ from .dualquat import (
     DualQuaternion,
     projectively_equal,
     ray_gap,
-    transform_axis,
     transform_axis_many,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
 from .motionpoly import MotionPoly, integral_product, poses_many
-from .scalars import Scalar, is_exact
+from .scalars import Scalar, is_exact, sdiv
 
 RANK_RTOL = 1e-8
 
@@ -166,12 +165,29 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
 
 
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
-    """World axis line of every joint at parameter t, in cycle order (scalar lane)."""
-    poses = {"A": chain_poses(linkage.chain_a, t), "B": chain_poses(linkage.chain_b, t)}
-    return tuple(
-        transform_axis(poses[j.chain][j.factor_indices[0]], j.reference_axis)
-        for j in linkage.joints
-    )
+    """World axis line of every joint at parameter t, in cycle order (scalar lane).
+
+    A joint's axis is that of its root h conjugated by its link pose P,
+    P*h*conj(P)/n0(P), the line transform_axis maps the reference axis
+    to.  It is formed here rather than by transform_axis to keep the work
+    on ints: the factors t - h and their values at t are cleared of
+    denominators (a pose's real scale cancels), and each coordinate is
+    divided once.  Float and symbolic factors keep scale 1.
+    """
+    axes = {}
+    for side, f in (("A", linkage.chain_a), ("B", linkage.chain_b)):
+        forms = [factor.integral() for factor in f.factors]  # (d*(t - h), d)
+        # The values at t as the coefficients of one polynomial, cleared together.
+        values = MotionPoly(tuple(q.eval(t) for q, _ in forms)).integral()[0].coeffs
+        pose = DQ_ONE
+        for k, ((q, d), value) in enumerate(zip(forms, values)):
+            x = pose * -q.coeff(0) * pose.conj()
+            s = pose.p.norm() * d
+            axes[side, k] = AxisLine(
+                tuple(sdiv(v, s) for v in x.p.vector), tuple(sdiv(-v, s) for v in x.d.vector)
+            )
+            pose = pose * value
+    return tuple(axes[j.chain, j.factor_indices[0]] for j in linkage.joints)
 
 
 def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[np.ndarray, np.ndarray]:

@@ -468,13 +468,13 @@ def test_home_axes_are_transported_only_for_linkage(capsys, monkeypatch):
     # The exact t = 0 axes serve only the linkage JSON and its substructure
     # report, which share one computation; the sampling commands never form them.
     calls = []
-    original = darboux7r.linkage.transform_axis
+    original = darboux7r.linkage.axes_at
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(linkage, t):
+        calls.append(t)
+        return original(linkage, t)
 
-    monkeypatch.setattr(darboux7r.linkage, "transform_axis", counted)
+    monkeypatch.setattr(darboux7r.linkage, "axes_at", counted)
     for kind in PAIR_TYPES:
         loop = ["--type", kind, "--samples", "8"]
         for argv in (["simulate", *loop], ["mobility", *loop], ["trace", *loop], ["plot", *loop]):
@@ -482,5 +482,32 @@ def test_home_axes_are_transported_only_for_linkage(capsys, monkeypatch):
             assert calls == [], argv
         code, out, _ = run(capsys, "linkage", "--type", kind)
         assert code == 0
-        assert len(calls) == json.loads(out)["linkage"]["joint_count"], kind
+        assert calls == [0], kind
         calls.clear()
+
+
+def test_verify_residual_with_too_many_digits_exits_two(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    run(capsys, "factor", "--type", "FI", "--out", str(path))
+    doc = json.loads(path.read_text())
+    huge = "1" + "0" * 3000
+    doc["factors"][0][0][0] = huge
+    doc["factors"][1][0][4] = huge  # their product has about 6000 digits
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--from-file", str(path))
+    assert_input_error(code, out, err)
+    assert err.startswith("error: an exact value of about 1e+6000 has more digits")
+
+
+def test_plot_takes_one_point(capsys):
+    code, out, err = run(capsys, "plot", "--type", "FIV", "--point", "0,0,0", "--point", "1,0,0")
+    assert_input_error(code, out, err)
+    assert "--point" in err
+
+
+def test_float_lane_refuses_rounded_norms_of_large_parameters(capsys):
+    # At --b 1e8 the rounded poses no longer close the loop in float64
+    # (a closure residual near 1.4 with the real-norm bound lifted).
+    code, out, err = run(capsys, "simulate", "--b", "1e8")
+    assert_input_error(code, out, err)
+    assert err == "error: norm has a nonzero dual part\n"

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from darboux7r import (
     AxisLine,
@@ -15,6 +17,7 @@ from darboux7r import (
     DualQuaternion,
     InsufficientSamples,
     MotionPoly,
+    SingularChoice,
     build_linkage,
     closes_exactly,
     closure_residual,
@@ -31,7 +34,9 @@ from darboux7r import (
     substructure_report,
     t_grid,
     trace_point,
+    transform_axis,
 )
+from darboux7r.cli import LOOPS, PAIR_TYPES
 from darboux7r.conics import ConicClass
 from darboux7r.errors import ClosureFailure, KinematicsError
 from darboux7r.linkage import axes_at, chain_poses
@@ -240,6 +245,27 @@ def test_home_axes_are_the_exact_axes_at_zero():
         home = l.home_axes()
         assert home == axes_at(l, 0)  # the same Fractions, not only the same lines
         assert l.home_axes() is home  # computed once per loop
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PAIR_TYPES),
+    st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), min_size=5, max_size=5),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+def test_axes_at_is_the_two_point_transport_exactly(kind, values, t):
+    # axes_at conjugates each root by its link pose on ints; transform_axis,
+    # which maps two points of the reference axis, stays the reference.
+    assume(values[0] != 0)
+    try:
+        loop = build_linkage(*(build(*values) for build in LOOPS[kind]))
+    except SingularChoice:
+        assume(False)
+    poses = {"A": chain_poses(loop.chain_a, t), "B": chain_poses(loop.chain_b, t)}
+    expected = tuple(
+        transform_axis(poses[j.chain][j.factor_indices[0]], j.reference_axis) for j in loop.joints
+    )
+    assert axes_at(loop, t) == expected
 
 
 def test_trace_coupler_point_is_ellipse():
