@@ -12,7 +12,7 @@ formulas are polynomial except for a few divisions routed through
 scalars.sdiv, so both backends share the code.
 
 The float64 array kernel at the end of the module (dq_mul_many,
-act_many, transform_axis_many; motionpoly.poses_many builds on it)
+act_many, conjugate_many; motionpoly.poses_many builds on it)
 evaluates many parameter values at once.  It repeats the scalar formulas
 operation by operation on (..., 8) arrays, so it gives the scalar float
 lane's values bit for bit (a NaN's sign aside, which IEEE 754 leaves
@@ -35,14 +35,6 @@ Vec3 = Tuple[Scalar, Scalar, Scalar]
 # Relative tolerance used only on the float backend when checking the
 # "norm is real" precondition; exact coefficients are compared to zero.
 _FLOAT_REAL_NORM_RTOL = 1e-9
-
-
-def vadd(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def vsub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
 def vdot(u: Vec3, v: Vec3) -> Scalar:
@@ -390,10 +382,10 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
     unit length.
     """
     p1 = ax.point_nearest_origin()
-    p2 = vadd(p1, ax.direction)
-    q1 = pose.act((1, p1[0], p1[1], p1[2]))[1:]
-    q2 = pose.act((1, p2[0], p2[1], p2[2]))[1:]
-    return AxisLine(vsub(q2, q1), vcross(q1, q2))
+    p2 = tuple(a + b for a, b in zip(p1, ax.direction))
+    q1 = pose.act((1, *p1))[1:]
+    q2 = pose.act((1, *p2))[1:]
+    return AxisLine(tuple(b - a for a, b in zip(q1, q2)), vcross(q1, q2))
 
 
 # --- float64 array kernel ------------------------------------------------
@@ -405,6 +397,7 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
 
 DQ_ONE_ROW = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_CONJ8 = np.concatenate((_CONJ, _CONJ))
 
 
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -427,17 +420,13 @@ def dq_mul_many(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.concatenate((_qmul(p1, p2), _qmul(p1, d2) + _qmul(d1, p2)), axis=-1)
 
 
-def act_many(h, points) -> np.ndarray:
-    """Images of projective points under displacement rows, as DualQuaternion.act.
+def _displacement_norms(h: np.ndarray) -> np.ndarray:
+    """Primal norms n0 of displacement rows, after checking act's preconditions.
 
-    Raises ZeroPrimal if a sample's primal norm n0 is 0 and
-    NotADisplacement if a sample's norm is not real to the float
-    tolerance of has_real_norm; a NaN sample fails that test.
+    Raises ZeroPrimal if a row's n0 is 0 and NotADisplacement if a row's
+    norm is not real to the float tolerance of has_real_norm; a NaN row
+    fails that test.
     """
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(points, dtype=float)
-    if x.shape[-1] != 4:
-        raise ValueError("expected projective 4-vectors")
     p, d = h[..., :4], h[..., 4:]
     n0 = _dot(p, p)
     n1 = 2 * _dot(p, d)
@@ -445,6 +434,17 @@ def act_many(h, points) -> np.ndarray:
         raise ZeroPrimal("cannot act with zero primal part")
     if not np.all(np.abs(n1) <= _FLOAT_REAL_NORM_RTOL * np.maximum(1.0, np.abs(n0))):
         raise NotADisplacement("norm has a nonzero dual part")
+    return n0
+
+
+def act_many(h, points) -> np.ndarray:
+    """Images of projective points under displacement rows, as DualQuaternion.act (and its errors)."""
+    h = np.asarray(h, dtype=float)
+    x = np.asarray(points, dtype=float)
+    if x.shape[-1] != 4:
+        raise ValueError("expected projective 4-vectors")
+    n0 = _displacement_norms(h)
+    p, d = h[..., :4], h[..., 4:]
     x0 = x[..., :1]
     xq = np.concatenate((np.zeros_like(x0), x[..., 1:]), axis=-1)
     pc = p * _CONJ
@@ -455,19 +455,13 @@ def act_many(h, points) -> np.ndarray:
     return np.concatenate((np.broadcast_to(x0, image.shape[:-1] + (1,)), image), axis=-1)
 
 
-def transform_axis_many(poses: np.ndarray, axes: Sequence[AxisLine]) -> np.ndarray:
-    """Lines transported by poses, as transform_axis: rows [direction, moment].
+def conjugate_many(h, g) -> np.ndarray:
+    """Rows h*g*conj(h)/n0(h), as (h * g * h.conj()) divided by h.p.norm().
 
-    poses has shape (..., n, 8) with one pose per line of axes; the
-    result has shape (..., n, 6).
+    For a rotation root g this is the root whose axis is g's axis moved
+    by the displacement h, the conjugation of linkage.axes_at.  Raises
+    as _displacement_norms on a row of h that is not a displacement.
     """
-    pts = []
-    for ax in axes:
-        p1 = ax.point_nearest_origin()  # exact on exact axes, rounded once
-        pts.append([[1.0, *map(float, p1)], [1.0, *map(float, vadd(p1, ax.direction))]])
-    q = act_many(poses[..., None, :], pts)
-    q1, q2 = q[..., 0, 1:], q[..., 1, 1:]
-    u0, u1, u2 = q1[..., 0], q1[..., 1], q1[..., 2]
-    v0, v1, v2 = q2[..., 0], q2[..., 1], q2[..., 2]
-    moment = np.stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0), axis=-1)
-    return np.concatenate((q2 - q1, moment), axis=-1)
+    h = np.asarray(h, dtype=float)
+    n0 = _displacement_norms(h)
+    return dq_mul_many(dq_mul_many(h, g), h * _CONJ8) / n0[..., None]

@@ -18,12 +18,12 @@ parallel-group and Sarrus analysis read, are computed on first use.
 Two lanes evaluate them: chain_poses and axes_at take one exact (or
 float) parameter through the scalar algebra, while simulate, mobility,
 closure_residual and trace sample float64 arrays of parameters through
-the batched kernel (motionpoly.poses_many, dualquat.transform_axis_many).
+the batched kernel (motionpoly.poses_many, dualquat.conjugate_many).
+Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
@@ -36,12 +36,13 @@ from .dualquat import (
     AxisLine,
     DQ_ONE,
     DualQuaternion,
+    _dot,
+    conjugate_many,
     projectively_equal,
     ray_gap,
-    transform_axis_many,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
-from .motionpoly import MotionPoly, integral_product, poses_many
+from .motionpoly import MotionPoly, _coeff_array, integral_product, poses_many
 from .scalars import Scalar, is_exact, sdiv
 
 RANK_RTOL = 1e-8
@@ -140,17 +141,12 @@ def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:
     return poses
 
 
-def _angles(roots: Sequence[DualQuaternion], ts: Sequence[Scalar]) -> np.ndarray:
-    """Rotation angles of t - root for every t and root, shape (len(ts), len(roots))."""
-    h0, vn = [], []
-    for root in roots:
-        v = root.p.vector
-        n = math.sqrt(sum(float(c) * float(c) for c in v))
-        if n == 0:
-            raise NotRotational("root has no rotational part")
-        h0.append(float(root.p.w))
-        vn.append(n)
-    return math.pi - 2 * np.arctan((np.asarray(ts, dtype=float)[:, None] - h0) / vn)
+def _angles(roots: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
+    """Rotation angles of t - root for every t and root row, shape (len(ts), len(roots))."""
+    vn = np.sqrt(_dot(roots[:, 1:4], roots[:, 1:4]))
+    if np.any(vn == 0):
+        raise NotRotational("root has no rotational part")
+    return np.pi - 2 * np.arctan((np.asarray(ts, dtype=float)[:, None] - roots[:, 0]) / vn)
 
 
 def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
@@ -161,7 +157,7 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     0 and 2*pi.
     """
     root = factor if isinstance(factor, DualQuaternion) else -factor.coeff(0)
-    return float(_angles([root], [t])[0, 0])
+    return float(_angles(_coeff_array([[root]])[0], [t])[0, 0])
 
 
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
@@ -194,17 +190,23 @@ def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[np.ndarra
     return poses_many(linkage.chain_a.factors, ts), poses_many(linkage.chain_b.factors, ts)
 
 
-def _axes_from_poses(linkage: Linkage, poses_a: np.ndarray, poses_b: np.ndarray) -> np.ndarray:
-    """World axis rows [direction, moment] of every joint, shape (N, n, 6)."""
+def _root_rows(linkage: Linkage) -> np.ndarray:
+    """The joints' roots as float64 rows (n, 8), rounded like the factors."""
+    return _coeff_array([[j.root for j in linkage.joints]])[0]
+
+
+def _axes_from_poses(linkage: Linkage, poses_a, poses_b, roots: np.ndarray) -> np.ndarray:
+    """World axis rows [direction, moment] of every joint, shape (N, n, 6), as axes_at."""
     offset = poses_a.shape[1]
     pick = [j.factor_indices[0] + (0 if j.chain == "A" else offset) for j in linkage.joints]
-    poses = np.concatenate((poses_a, poses_b), axis=1)[:, pick]
-    return transform_axis_many(poses, [j.reference_axis for j in linkage.joints])
+    x = conjugate_many(np.concatenate((poses_a, poses_b), axis=1)[:, pick], roots)
+    return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)  # -(v/n0) is (-v)/n0
 
 
 def axes_many(linkage: Linkage, ts: Sequence[Scalar]) -> np.ndarray:
     """Float64 axes_at for every t: rows [direction, moment], shape (len(ts), n, 6)."""
-    return _axes_from_poses(linkage, *_both_chains_many(linkage, ts))
+    poses_a, poses_b = _both_chains_many(linkage, ts)
+    return _axes_from_poses(linkage, poses_a, poses_b, _root_rows(linkage))
 
 
 def _unit_screws(axes: np.ndarray) -> np.ndarray:
@@ -379,13 +381,14 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64)."""
     poses_a, poses_b = _both_chains_many(linkage, ts)
+    roots = _root_rows(linkage)
     mult = [j.multiplicity for j in linkage.joints]
     return Samples(
         t=np.asarray(ts, dtype=float),
-        angles=mult * _angles([j.root for j in linkage.joints], ts),
+        angles=mult * _angles(roots, ts),
         poses_a=poses_a,
         poses_b=poses_b,
-        axes=_axes_from_poses(linkage, poses_a, poses_b),
+        axes=_axes_from_poses(linkage, poses_a, poses_b, roots),
         closure_residual=ray_gap(poses_a[:, -1], poses_b[:, -1]),
     )
 

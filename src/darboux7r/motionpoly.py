@@ -209,7 +209,7 @@ class MotionPoly:
 
     def orbit(self, point: Sequence[Scalar], ts: Sequence[Scalar]) -> np.ndarray:
         """Float64 images of a point under the motion at every t, shape (len(ts), 3)."""
-        values = _horner_many(_coeff_array([self]), ts)[:, 0]
+        values = _horner_many(_coeff_array([self.coeffs]), ts)[:, 0]
         return act_many(values, [1.0, *map(float, point)])[:, 1:]
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
@@ -361,15 +361,16 @@ def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
 COEFF_ABS_MAX = math.sqrt(sys.float_info.max)
 
 
-def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
-    """Float64 coefficients, shape (len(polys), max degree + 1, 8), zero padded on top.
+def _coeff_array(rows: Sequence[Sequence[DualQuaternion]]) -> np.ndarray:
+    """Float64 rows of dual quaternion sequences, shape (len(rows), max length, 8).
 
+    Shorter sequences (a polynomial's coefficients) are zero padded on top.
     An exact coefficient beyond the float64 range, or beyond COEFF_ABS_MAX
     (about 1.3e154), raises KinematicsError.
     """
-    out = np.zeros((len(polys), max((len(q.coeffs) for q in polys), default=0), 8))
-    for i, q in enumerate(polys):
-        for k, c in enumerate(q.coeffs):
+    out = np.zeros((len(rows), max(map(len, rows), default=0), 8))
+    for i, row in enumerate(rows):
+        for k, c in enumerate(row):
             try:
                 out[i, k] = [float(v) for v in c.coeffs()]
             except OverflowError:
@@ -401,7 +402,7 @@ def poses_many(factors: Sequence[MotionPoly], ts: Sequence[Scalar]) -> np.ndarra
     Entry [:, j] is the product of the first j factor values, the batched
     form of linkage.chain_poses.
     """
-    values = _horner_many(_coeff_array(factors), ts)
+    values = _horner_many(_coeff_array([f.coeffs for f in factors]), ts)
     poses = np.empty((values.shape[0], len(factors) + 1, 8))
     poses[:, 0] = DQ_ONE_ROW
     for j in range(len(factors)):

@@ -130,14 +130,14 @@ def factorization_from_json(d: Dict[str, Any]) -> Factorization:
 def read_exact_factorization(path: str) -> Factorization:
     """Load a factorization file whose scalars are all exact.
 
-    Invalid JSON, a missing key, a field of the wrong type or a float
-    scalar raise MalformedInput, so bad input is never mistaken for a
-    failed identity.
+    Invalid JSON, nesting too deep to decode, a missing key, a field of
+    the wrong type or a float scalar raise MalformedInput, so bad input
+    is never mistaken for a failed identity.
     """
     try:
         with open(path) as fh:
             f = factorization_from_json(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
         # json.JSONDecodeError and every KinematicsError are ValueErrors.
         raise MalformedInput(
             f"{path}: not a factorization file: {type(exc).__name__}: {exc}"

@@ -244,6 +244,13 @@ def test_verify_file_not_json_exits_two(tmp_path, capsys):
     assert_input_error(*verify_doc(tmp_path, capsys, "{not json"))
 
 
+def test_verify_file_nested_too_deep_exits_two(tmp_path, capsys):
+    # The JSON decoder recurses once per level and gives up with RecursionError.
+    code, out, err = verify_doc(tmp_path, capsys, "[" * 100_000)
+    assert_input_error(code, out, err)
+    assert "RecursionError" in err
+
+
 def test_verify_file_missing_key_exits_two(tmp_path, capsys):
     doc = serialize.factorization_to_json(factor_fi(PARAMS))
     del doc["cofactor"]
@@ -505,9 +512,13 @@ def test_plot_takes_one_point(capsys):
     assert "--point" in err
 
 
-def test_float_lane_refuses_rounded_norms_of_large_parameters(capsys):
+@pytest.mark.parametrize(
+    "command, b",
+    [("simulate", "1e8"), ("mobility", "1e8"), ("trace", "1e8"), ("plot", "1e8"), ("linkage", "1e9")],
+)
+def test_float_lane_refuses_rounded_norms_of_large_parameters(capsys, command, b):
     # At --b 1e8 the rounded poses no longer close the loop in float64
     # (a closure residual near 1.4 with the real-norm bound lifted).
-    code, out, err = run(capsys, "simulate", "--b", "1e8")
+    code, out, err = run(capsys, command, "--b", b)
     assert_input_error(code, out, err)
     assert err == "error: norm has a nonzero dual part\n"

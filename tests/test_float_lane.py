@@ -1,8 +1,9 @@
 """The batched float64 lane against the exact lane, for every loop type.
 
 simulate, mobility, closure_residual and trace sample float64 arrays
-through motionpoly.poses_many and dualquat.transform_axis_many.  Here
-each sample is recomputed on the exact lane at the same parameter value
+through motionpoly.poses_many and dualquat.conjugate_many, which forms
+each axis from its root and link pose as axes_at does.  Here each
+sample is recomputed on the exact lane at the same parameter value
 (Fraction(t) is exactly the float t), converted to float and compared.
 """
 

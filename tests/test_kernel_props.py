@@ -19,7 +19,14 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from darboux7r import DualQuaternion, NotADisplacement, ZeroPrimal  # noqa: E402
-from darboux7r.dualquat import Quaternion, _qmul, act_many, dq_mul_many, ray_gap  # noqa: E402
+from darboux7r.dualquat import (  # noqa: E402
+    Quaternion,
+    _qmul,
+    act_many,
+    conjugate_many,
+    dq_mul_many,
+    ray_gap,
+)
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
@@ -37,6 +44,15 @@ def displacements(draw) -> DualQuaternion:
 
 special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
 float_quaternions = st.builds(Quaternion, *[special_floats] * 4)
+float_dual_quaternions = st.builds(DualQuaternion, float_quaternions, float_quaternions)
+# Rows that may or may not be displacements: zero primal parts, non-real
+# norms, and float rows with signed zeros, infinities and NaNs among them.
+any_rows = (
+    displacements()
+    | dual_quaternions
+    | st.builds(DualQuaternion, st.just(Quaternion(0, 0, 0, 0)), quaternions)
+    | float_dual_quaternions
+)
 
 
 def row(h: DualQuaternion) -> np.ndarray:
@@ -142,9 +158,45 @@ def test_one_bad_sample_fails_the_batch(hs, k, x):
     rows[k % len(hs)] = np.nan
     with pytest.raises(NotADisplacement):
         act_many(rows, floats(x))
+    with pytest.raises(NotADisplacement):
+        conjugate_many(rows, row(hs[0]))
     rows[k % len(hs)] = 0.0
     with pytest.raises(ZeroPrimal):
         act_many(rows, floats(x))
+    with pytest.raises(ZeroPrimal):
+        conjugate_many(rows, row(hs[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(displacements(), dual_quaternions | float_dual_quaternions)
+def test_conjugation_repeats_scalar_conjugation(h, g):
+    f = h.to_float()
+    x = f * g.to_float() * f.conj()
+    scalar = floats(v / f.p.norm() for v in x.coeffs())
+    with np.errstate(all="ignore"):
+        batched = conjugate_many(row(h), row(g))
+    assert np.array_equal(batched, scalar, equal_nan=True)
+    numbers = ~np.isnan(scalar)
+    assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
+    if not g.is_float():
+        exact = h * g * h.conj()
+        assert close(batched, floats(v / h.p.norm() for v in exact.coeffs()))
+
+
+def error_of(kernel, *args):
+    try:
+        with np.errstate(all="ignore"):
+            kernel(*args)
+    except (ZeroPrimal, NotADisplacement) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_rows, min_size=1, max_size=4), dual_quaternions)
+def test_conjugation_fails_like_act(hs, g):
+    rows = np.array([row(h) for h in hs])
+    assert error_of(conjugate_many, rows, row(g)) is error_of(act_many, rows, floats((1, 0, 0, 0)))
 
 
 @settings(max_examples=100, deadline=None)
