@@ -72,7 +72,7 @@ def _point3(text: str) -> Tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"expected x,y,z but got {text!r}")
     try:
-        return tuple(float(Fraction(p.strip())) for p in parts)
+        return tuple(float(parse_scalar(p)) for p in parts)
     except OverflowError:
         raise argparse.ArgumentTypeError(f"{text!r} is beyond the float64 range") from None
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import conics
 from .dualquat import (
@@ -283,31 +283,6 @@ def _exact_quotient(num: MotionPoly, den: MotionPoly) -> MotionPoly:
     return quot
 
 
-def _solve_affine_pair(
-    conditions: Callable[[Scalar, Scalar], Tuple[Scalar, Scalar]]
-) -> Tuple[Scalar, Scalar]:
-    """Solve f = g = 0 for two unknowns, given that (f, g) = conditions(s, u) is affine.
-
-    Affinity is probed at (0,0), (1,0), (0,1), (1,1) and asserted, so a
-    change that breaks the linear structure fails loudly instead of
-    returning nonsense.
-    """
-    (f00, g00), (f10, g10), (f01, g01), (f11, g11) = (
-        conditions(s, u) for s, u in ((0, 0), (1, 0), (0, 1), (1, 1))
-    )
-    fu, fv = f10 - f00, f01 - f00
-    gu, gv = g10 - g00, g01 - g00
-    if f11 - (f00 + fu + fv) != 0 or g11 - (g00 + gu + gv) != 0:
-        raise ValueError("system is not affine in the unknowns")
-    det = fu * gv - fv * gu
-    if det == 0:
-        raise SingularChoice("circularity system is singular for these parameters")
-    return (
-        sdiv(fv * g00 - f00 * gv, det),
-        sdiv(f00 * gu - fu * g00, det),
-    )
-
-
 def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
     """Factor a monic circular-translation quadratic as (t - g1)(t - u).
 
@@ -326,64 +301,69 @@ def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
     return _exact_quotient(q, second), second
 
 
-def _circularity_conditions(
+def _circularity(quot: MotionPoly) -> Tuple[Scalar, Scalar]:
+    """(d1 . d0, |d1|^2 - |d0|^2) for the dual vectors d1, d0 of quot's t and
+    constant coefficients; both vanish when quot is a circular translation."""
+    d1 = quot.coeff(1).d.vector
+    d0 = quot.coeff(0).d.vector
+    return vdot(d1, d0), vdot(d1, d1) - vdot(d0, d0)
+
+
+def _circular_split(
     cubic: MotionPoly, primal: Quaternion
-) -> Tuple[Callable, Callable]:
-    """Conditions on (s, u) making the quotient of cubic by t - (primal + eps(s i + u j))
-    a circular translation; returns (conditions, quotient_for), and conditions(s, u)
-    gives both values from one exact division."""
+) -> Tuple[MotionPoly, MotionPoly, MotionPoly]:
+    """Factor cubic as (t - g1)(t - g2)(t - h) with h = primal + eps(s i + u j).
 
-    def quotient_for(s: Scalar, u: Scalar) -> MotionPoly:
-        root = DualQuaternion(primal, Quaternion(0, s, u, 0))
-        return _exact_quotient(cubic, MotionPoly.t_minus(root))
-
-    def conditions(s: Scalar, u: Scalar) -> Tuple[Scalar, Scalar]:
-        quot = quotient_for(s, u)
-        d1 = quot.coeff(1).d.vector
-        d0 = quot.coeff(0).d.vector
-        return vdot(d1, d0), vdot(d1, d1) - vdot(d0, d0)
-
-    return conditions, quotient_for
+    Every such h is a right zero of cubic; the two circularity conditions
+    on the quotient by t - h are affine in (s, u), so three probe
+    divisions at (0,0), (1,0), (0,1) pin them.  The quotient at the
+    solution must meet both conditions exactly, else ValueError; it is
+    then split at its pure-primal root.
+    """
+    probes = (DualQuaternion(primal, Quaternion(0, s, u, 0)) for s, u in ((0, 0), (1, 0), (0, 1)))
+    (f00, g00), (f10, g10), (f01, g01) = (
+        _circularity(_exact_quotient(cubic, MotionPoly.t_minus(h))) for h in probes
+    )
+    fu, fv = f10 - f00, f01 - f00
+    gu, gv = g10 - g00, g01 - g00
+    det = fu * gv - fv * gu
+    if det == 0:
+        raise SingularChoice("circularity system is singular for these parameters")
+    s, u = sdiv(fv * g00 - f00 * gv, det), sdiv(f00 * gu - fu * g00, det)
+    last = MotionPoly.t_minus(DualQuaternion(primal, Quaternion(0, s, u, 0)))
+    quot = _exact_quotient(cubic, last)
+    if _circularity(quot) != (0, 0):
+        raise ValueError("system is not affine in the unknowns")
+    return (*_split_circular_quadratic(quot), last)
 
 
 def derive_fi(p: DarbouxParams) -> Factorization:
     """Reconstruct FI from scratch by division and the circularity conditions.
 
-    Every k + eps(v i + w j) is a right zero of C; requiring the cubic's
-    quotient to be a circular translation pins (v, w) via an affine 2x2
-    system, and splitting the quotient at its pure-primal root yields the
-    remaining two factors.  Used as an independent cross-check of the
-    closed forms in factor_fi.
+    Every k + eps(v i + w j) is a right zero of C; _circular_split pins
+    (v, w) by requiring the quotient to be a circular translation, and
+    splits that quotient at its pure-primal root into the other two
+    factors.  Used as an independent cross-check of the closed forms in
+    factor_fi.
     """
-    c = darboux_c(p)
-    conditions, quotient_for = _circularity_conditions(c, Q_K)
-    v, w = _solve_affine_pair(conditions)
-    quot = quotient_for(v, w)
-    q1, q2 = _split_circular_quadratic(quot)
-    q3 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, v, w, 0)))
-    return Factorization("FI", p, (q1, q2, q3), ONE_POLY)
+    return Factorization("FI", p, _circular_split(darboux_c(p), Q_K), ONE_POLY)
 
 
 def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization:
     """Reconstruct FIII from scratch for a given free choice (x, y).
 
     (t^2+1) C is divided by the doubled factor (remainder must vanish),
-    the circularity conditions pin the dual part of Q'5, and the final
-    split produces Q'6 and Q'7.  Cross-checks factor_fiii exactly.
+    and _circular_split finds Q'5 = t + k - eps(alpha i + beta j) by the
+    circularity conditions and splits the rest into Q'7 Q'6.  Cross-checks
+    factor_fiii exactly.
     """
-    q4root = DualQuaternion(Q_K, Quaternion(0, x, y, 0))
-    q4 = MotionPoly.t_minus(q4root)
+    q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     pc = poly_product((darboux_c(p), t_squared_plus_one().to_motion()))
     c2 = _exact_quotient(pc, poly_product((q4, q4)))
-    conditions, quotient_for = _circularity_conditions(c2, -Q_K)
-    alpha, beta = _solve_affine_pair(conditions)
-    quot = quotient_for(alpha, beta)
-    q7, q6 = _split_circular_quadratic(quot)
-    q5 = MotionPoly.t_minus(DualQuaternion(-Q_K, Quaternion(0, alpha, beta, 0)))
     return Factorization(
         "FIII",
         p,
-        (q7, q6, q5, q4, q4),
+        (*_circular_split(c2, -Q_K), q4, q4),
         t_squared_plus_one(),
         free_xy=(x, y),
         identical_adjacent=((3, 4),),

@@ -69,13 +69,6 @@ class RealPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "RealPoly") -> "RealPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return RealPoly(tuple(a))
-
     def __mul__(self, other):
         if isinstance(other, RealPoly):
             if self.is_zero() or other.is_zero():

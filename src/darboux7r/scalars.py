@@ -31,8 +31,11 @@ def sdiv(x: Scalar, y: Scalar) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "p/q", integer, or decimal notation into an exact scalar."""
-    return Fraction(text.strip())
+    """Parse "p/q", integer, or decimal notation into an exact scalar, else ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def format_scalar(x: Scalar) -> Union[str, float]:

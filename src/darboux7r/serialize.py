@@ -22,7 +22,7 @@ from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion
 from .errors import MalformedInput
 from .linkage import Linkage, MobilityReport, Samples
-from .motionpoly import MotionPoly, RealPoly
+from .motionpoly import MotionPoly, RealPoly, poly_product
 from .scalars import Scalar, format_scalar, is_exact
 
 
@@ -152,7 +152,7 @@ def read_exact_factorization(path: str) -> Factorization:
 
 def closure_certificate(linkage: Linkage) -> str:
     """SHA-256 of the canonical JSON of the common motion (times both cofactors)."""
-    common = linkage.product_a * linkage.chain_b.cofactor
+    common = poly_product((linkage.product_a, linkage.chain_b.cofactor.to_motion()))
     payload = json.dumps(motionpoly_to_json(common), separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -407,6 +407,24 @@ def test_point_beyond_float_range_exits_two(capsys, command):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("factor", "--type", "FI", "--a", "1/0"), "argument --a: invalid _rational value: '1/0'"),
+        (("linkage", "--b=-1/0"), "argument --b: invalid _rational value: '-1/0'"),
+        (("trace", "--point=1/0,0,0"), "argument --point: invalid _point3 value: '1/0,0,0'"),
+        (("plot", "--point=0,0,-2/0"), "argument --point: invalid _point3 value: '0,0,-2/0'"),
+    ],
+)
+def test_zero_denominator_exits_two(capsys, argv, error):
+    code, out, err = run_exiting(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"darboux7r {argv[0]}: error: {error}"
+    ]
+
+
 @pytest.mark.parametrize("command", ["simulate", "mobility", "trace", "plot", "linkage"])
 def test_parameter_beyond_float_range_exits_two(capsys, command):
     code, out, err = run(capsys, command, "--a", "1e400")

@@ -28,10 +28,12 @@ from darboux7r import (
     factor_fiv,
     fiv_companion_fi,
     frame_change,
+    poly_product,
     projectively_equal,
     t_squared_plus_one,
     trace_fit,
 )
+from darboux7r import darboux
 from darboux7r.conics import ConicClass
 
 
@@ -272,6 +274,19 @@ def test_derived_factorizations_match_transcribed():
     for _ in range(20):
         p, x, y = random_fiii_args(rng)
         assert derive_fiii(p, x, y).factors == factor_fiii(p, x, y).factors
+
+
+def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
+    # For C = (t - eps(i + j + k))(t^2 + 1) every k + eps(s i + u j) is a right
+    # zero, and |d1|^2 - |d0|^2 of the quotient has s^2 and u^2 terms but no
+    # s u term; the quotient at the solution of the probed system is not
+    # circular, which the check on that quotient must report.
+    cubic = poly_product(
+        (MotionPoly.t_minus(dq(h5=1, h6=1, h7=1)), t_squared_plus_one().to_motion())
+    )
+    monkeypatch.setattr(darboux, "darboux_c", lambda p: cubic)
+    with pytest.raises(ValueError, match="not affine"):
+        derive_fi(DarbouxParams(1, 2, 0))
 
 
 def test_circular_translation_check():
