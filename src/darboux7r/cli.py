@@ -294,8 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a factorization multiplies back exactly")
     p.add_argument("--type", choices=SINGLE_TYPES, default=None)
     _add_param_flags(p)
-    p.add_argument("--from-file", dest="from_file", default=None, help="verify a stored factorization JSON")
-    p.add_argument("--random", type=int, default=None, metavar="N", help="verify N random parameter sets")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--from-file", dest="from_file", default=None,
+                        help="verify a stored factorization JSON")
+    source.add_argument("--random", type=int, default=None, metavar="N",
+                        help="verify N random parameter sets")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -349,6 +352,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.type is None and args.from_file is None:
         parser.error("verify needs --type or --from-file")
+    if args.command == "verify" and args.type is not None and args.from_file is not None:
+        parser.error("verify takes --type or --from-file, not both")
     try:
         # A float lane sample beyond float64 would go on as inf and nan.
         with np.errstate(over="raise"):

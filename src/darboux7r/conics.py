@@ -81,7 +81,7 @@ def fit_plane(points: np.ndarray) -> PlaneFit:
     centered = pts - centroid
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     normal = vt[-1]
-    residual = float(np.max(np.abs(centered @ normal))) if len(pts) else 0.0
+    residual = float(np.max(np.abs(centered @ normal)))
     return PlaneFit(
         tuple(centroid), tuple(normal), tuple(vt[0]), tuple(vt[1]), residual
     )
@@ -164,7 +164,7 @@ def trace_fit(
         raise InsufficientSamples("trajectory classification needs at least six samples")
     centroid = pts.mean(axis=0)
     spread = np.linalg.norm(pts - centroid, axis=1)
-    diameter = 2 * float(spread.max()) if n else 0.0
+    diameter = 2 * float(spread.max())
     # A fixed point orbits in a cloud of rounding noise; judge "no motion"
     # against the coordinate magnitude, not against exact zero.
     if diameter <= 1e-12 * (1.0 + float(np.linalg.norm(centroid))):

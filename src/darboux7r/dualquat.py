@@ -163,16 +163,8 @@ class DualQuaternion:
         return cls(Quaternion(h[0], h[1], h[2], h[3]), Quaternion(h[4], h[5], h[6], h[7]))
 
     @classmethod
-    def from_primal(cls, p: Quaternion) -> "DualQuaternion":
-        return cls(p, Q_ZERO)
-
-    @classmethod
     def from_scalar(cls, s: Scalar) -> "DualQuaternion":
         return cls(Quaternion(s, 0, 0, 0), Q_ZERO)
-
-    @classmethod
-    def identity(cls) -> "DualQuaternion":
-        return cls(Q_ONE, Q_ZERO)
 
     def coeffs(self) -> Tuple[Scalar, ...]:
         p, d = self.p, self.d
@@ -296,7 +288,7 @@ class DualQuaternion:
         return DualQuaternion(self.p.to_float(), self.d.to_float())
 
 
-DQ_ONE = DualQuaternion.identity()
+DQ_ONE = DualQuaternion(Q_ONE, Q_ZERO)
 
 
 def _minors_vanish(u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
@@ -367,11 +359,6 @@ def projectively_equal(h1: DualQuaternion, h2: DualQuaternion) -> bool:
     if h1.is_zero() or h2.is_zero():
         return False
     return _minors_vanish(h1.coeffs(), h2.coeffs())
-
-
-def projective_distance(h1: DualQuaternion, h2: DualQuaternion) -> float:
-    """Float distance between the rays of two dual quaternions (0: same element)."""
-    return float(ray_gap(h1.coeffs(), h2.coeffs()))
 
 
 def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:

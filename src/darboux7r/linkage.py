@@ -16,9 +16,9 @@ exact home axes (t = 0), which only the linkage JSON and the
 parallel-group and Sarrus analysis read, are computed on first use.
 
 Two lanes evaluate them: chain_poses and axes_at take one exact (or
-float) parameter through the scalar algebra, while simulate, mobility,
-closure_residual and trace sample float64 arrays of parameters through
-the batched kernel (motionpoly.poses_many, dualquat.conjugate_many).
+float) parameter through the scalar algebra, while simulate, mobility
+and trace sample float64 arrays of parameters through the batched kernel
+(motionpoly.poses_many, dualquat.conjugate_many).
 Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P).
 """
 
@@ -215,13 +215,6 @@ def _unit_screws(axes: np.ndarray) -> np.ndarray:
     return np.swapaxes(axes / n, -1, -2)
 
 
-def screw_matrix(axes: Sequence[AxisLine]) -> np.ndarray:
-    """6 x n matrix of unit revolute screws (direction; moment) per axis."""
-    return _unit_screws(
-        np.array([[float(c) for c in (*ax.direction, *ax.moment)] for ax in axes])
-    )
-
-
 @dataclass(frozen=True)
 class MobilityReport:
     t: float
@@ -359,16 +352,6 @@ class Samples:
     poses_b: np.ndarray
     axes: np.ndarray
     closure_residual: np.ndarray
-
-
-def closure_residual(linkage: Linkage, t: Scalar) -> float:
-    """Projective gap between the two chain end poses (0 when the loop closes).
-
-    Both ends equal the common motion up to central real cofactor values,
-    so they are the same projective element at every closure parameter.
-    """
-    poses_a, poses_b = _both_chains_many(linkage, [t])
-    return float(ray_gap(poses_a[0, -1], poses_b[0, -1]))
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:

@@ -444,10 +444,3 @@ def factorization_residual(
     (p, dp), (c, dc) = integral_product(factors), integral_product((cofactor.to_motion(), target))
     diff = p * dc - c * dp
     return sdiv(max((abs(v) for h in diff.coeffs for v in h.coeffs()), default=0), dp * dc)
-
-
-def verify_factorization(
-    factors: Sequence[MotionPoly], target: MotionPoly, cofactor: RealPoly = ONE_POLY
-) -> bool:
-    """Check the exact identity product(factors) = cofactor * target."""
-    return factorization_residual(factors, target, cofactor) == 0

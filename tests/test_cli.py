@@ -425,6 +425,28 @@ def test_zero_denominator_exits_two(capsys, argv, error):
     ]
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (
+            ("--random", "3"),
+            "darboux7r verify: error: argument --random: not allowed with argument --from-file",
+        ),
+        (("--type", "FII"), "darboux7r: error: verify takes --type or --from-file, not both"),
+    ],
+    ids=["random", "type"],
+)
+def test_verify_from_file_refuses_conflicting_flags(tmp_path, capsys, flags, error):
+    # The file names its type and parameters; a flag that would be ignored
+    # is a usage error, not a silent PASS.
+    path = tmp_path / "f.json"
+    run(capsys, "factor", "--type", "FI", "--out", str(path))
+    code, out, err = run_exiting(capsys, "verify", "--from-file", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
+
+
 @pytest.mark.parametrize("command", ["simulate", "mobility", "trace", "plot", "linkage"])
 def test_parameter_beyond_float_range_exits_two(capsys, command):
     code, out, err = run(capsys, command, "--a", "1e400")

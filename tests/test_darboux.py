@@ -35,6 +35,7 @@ from darboux7r import (
 )
 from darboux7r import darboux
 from darboux7r.conics import ConicClass
+from darboux7r.dualquat import Q_ZERO
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
@@ -124,7 +125,7 @@ def test_primal_part_factors_as_advertised():
     rng = random.Random(23)
     for _ in range(20):
         C = darboux_c(random_params(rng))
-        primal = MotionPoly(tuple(DualQuaternion.from_primal(c.p) for c in C.coeffs))
+        primal = MotionPoly(tuple(DualQuaternion(c.p, Q_ZERO) for c in C.coeffs))
         expect = t_squared_plus_one().to_motion() * MotionPoly.t_minus(dq(h3=1))
         assert primal == expect
 

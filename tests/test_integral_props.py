@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from darboux7r import DarbouxParams, DualQuaternion, MotionPoly, SingularChoice  # noqa: E402
 from darboux7r.cli import FAMILIES  # noqa: E402
-from darboux7r.dualquat import DQ_ONE, Quaternion  # noqa: E402
+from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion  # noqa: E402
 from darboux7r.motionpoly import factorization_residual, poly_product  # noqa: E402
 from darboux7r.scalars import is_exact  # noqa: E402
 
@@ -77,7 +77,9 @@ LEADERS = {
     "monic": st.just(DQ_ONE),
     "real": nonzero.map(DualQuaternion.from_scalar),
     # Rotation-like: non-real primal, real norm (n1 = 0).
-    "primal": quaternions.filter(lambda q: q.vector != (0, 0, 0)).map(DualQuaternion.from_primal),
+    "primal": quaternions.filter(lambda q: q.vector != (0, 0, 0)).map(
+        lambda q: DualQuaternion(q, Q_ZERO)
+    ),
     # General invertible: the norm's dual part n1 is not zero.
     "general": dual_quaternions.filter(lambda h: h.invertible() and h.norm()[1] != 0),
 }

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from darboux7r import (
-    AxisLine,
     DarbouxParams,
     DualQuaternion,
     InsufficientSamples,
@@ -20,7 +19,6 @@ from darboux7r import (
     SingularChoice,
     build_linkage,
     closes_exactly,
-    closure_residual,
     factor_fi,
     factor_fii,
     factor_fiii,
@@ -29,7 +27,6 @@ from darboux7r import (
     joint_angle,
     mobility_at,
     parallel_groups,
-    screw_matrix,
     simulate,
     substructure_report,
     t_grid,
@@ -39,7 +36,8 @@ from darboux7r import (
 from darboux7r.cli import LOOPS, PAIR_TYPES
 from darboux7r.conics import ConicClass
 from darboux7r.errors import ClosureFailure, KinematicsError
-from darboux7r.linkage import axes_at, chain_poses
+from darboux7r.dualquat import DQ_ONE
+from darboux7r.linkage import _unit_screws, axes_at, chain_poses
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
@@ -86,7 +84,7 @@ def test_mismatched_motions_fail_closure():
 def test_chain_poses_endpoints():
     for f in (factor_fi(PARAMS), factor_fiii(PARAMS, Fraction(1, 3), Fraction(-2, 7))):
         poses = chain_poses(f, Fraction(0))
-        assert poses[0] == DualQuaternion.identity()
+        assert poses[0] == DQ_ONE
         assert len(poses) == len(f.factors) + 1
 
 
@@ -104,10 +102,10 @@ def test_closure_float_residual():
     l13 = linkage_fi_fiii()
     l12 = linkage_fi_fii()
     l4 = linkage_fiv()
-    for t in t_grid(50):
-        assert closure_residual(l13, t) < 1e-12
-        assert closure_residual(l12, t) < 1e-12
-        assert closure_residual(l4, t) < 1e-12
+    ts = t_grid(50)
+    assert np.all(simulate(l13, ts).closure_residual < 1e-12)
+    assert np.all(simulate(l12, ts).closure_residual < 1e-12)
+    assert np.all(simulate(l4, ts).closure_residual < 1e-12)
 
 
 def test_joint_angle_convention():
@@ -188,12 +186,13 @@ def test_fiv_special_postures_gain_mobility():
 
 
 def test_open_3r_chain_rank():
-    axes = [
-        AxisLine((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-        AxisLine((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        AxisLine((0.0, 0.0, 1.0), (2.0, -1.0, 0.0)),
-    ]
-    m = screw_matrix(axes)
+    # rows of direction then moment
+    axes = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 2.0, -1.0, 0.0],
+    ])
+    m = _unit_screws(axes)
     assert m.shape == (6, 3)
     assert np.linalg.matrix_rank(m) == 3
 
