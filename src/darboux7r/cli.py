@@ -77,12 +77,17 @@ def _point3(text: str) -> Tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"{text!r} is beyond the float64 range") from None
 
 
+# Values of the parameter flags that are not given; at these FI+FIII is
+# the FIV loop.  The flags default to None so verify can tell them apart.
+PARAM_DEFAULTS = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(0), "x": Fraction(0), "y": Fraction(0)}
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=_rational, default=Fraction(1), help="Darboux parameter a (rational, nonzero)")
-    p.add_argument("--b", type=_rational, default=Fraction(2), help="Darboux parameter b (rational)")
-    p.add_argument("--c", type=_rational, default=Fraction(0), help="Darboux parameter c (rational)")
-    p.add_argument("--x", type=_rational, default=Fraction(0), help="free parameter x (FIII only)")
-    p.add_argument("--y", type=_rational, default=Fraction(0), help="free parameter y (FIII only)")
+    p.add_argument("--a", type=_rational, help="Darboux parameter a (rational, nonzero)")
+    p.add_argument("--b", type=_rational, help="Darboux parameter b (rational)")
+    p.add_argument("--c", type=_rational, help="Darboux parameter c (rational)")
+    p.add_argument("--x", type=_rational, help="free parameter x (FIII only)")
+    p.add_argument("--y", type=_rational, help="free parameter y (FIII only)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
@@ -96,12 +101,20 @@ def _add_sampling_flags(p: argparse.ArgumentParser, default_samples: int) -> Non
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
 
 
+def _param_values(args) -> Tuple[Scalar, ...]:
+    """(a, b, c, x, y) from the flags, with PARAM_DEFAULTS for those not given."""
+    return tuple(
+        default if getattr(args, name) is None else getattr(args, name)
+        for name, default in PARAM_DEFAULTS.items()
+    )
+
+
 def _build_factorization(args) -> Factorization:
-    return FAMILIES[args.type](args.a, args.b, args.c, args.x, args.y)
+    return FAMILIES[args.type](*_param_values(args))
 
 
 def _build_linkage(args) -> Linkage:
-    values = (args.a, args.b, args.c, args.x, args.y)
+    values = _param_values(args)
     return build_linkage(*(build(*values) for build in LOOPS[args.type]))
 
 
@@ -175,16 +188,17 @@ def cmd_verify(args) -> int:
     elif args.random is not None:
         if args.random < 1:
             raise KinematicsError("--random must be at least 1")
-        rng = random.Random(args.seed)
+        seed = args.seed or 0
+        rng = random.Random(seed)
         failures = 0
         for _ in range(args.random):
             failure, _ = _check(_random_factorization(args.type, rng))
             failures += 0 if failure is None else 1
         n = args.random
         if failures == 0:
-            print(f"PASS: {args.type} exact for {n}/{n} random parameter sets (seed {args.seed})")
+            print(f"PASS: {args.type} exact for {n}/{n} random parameter sets (seed {seed})")
             return 0
-        print(f"FAIL: {args.type} failed on {failures}/{n} random parameter sets (seed {args.seed})")
+        print(f"FAIL: {args.type} failed on {failures}/{n} random parameter sets (seed {seed})")
         return 1
     else:
         f = _build_factorization(args)
@@ -195,6 +209,21 @@ def cmd_verify(args) -> int:
         return 0
     print(f"FAIL: {failure}")
     return 1
+
+
+def _verify_flag_conflict(args) -> Optional[str]:
+    """Why verify cannot use every flag it was given, or None."""
+    if args.type is None and args.from_file is None:
+        return "verify needs --type or --from-file"
+    if args.type is not None and args.from_file is not None:
+        return "verify takes --type or --from-file, not both"
+    source = "--from-file" if args.from_file is not None else "--random" if args.random is not None else None
+    given = [f"--{name}" for name in PARAM_DEFAULTS if getattr(args, name) is not None]
+    if source is not None and given:
+        return f"verify {source} sets its own parameters and does not take {', '.join(given)}"
+    if args.seed is not None and args.random is None:
+        return "verify --seed needs --random"
+    return None
 
 
 def cmd_linkage(args) -> int:
@@ -299,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify a stored factorization JSON")
     source.add_argument("--random", type=int, default=None, metavar="N",
                         help="verify N random parameter sets")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("linkage", help="build a closed 7R linkage, emit JSON with certificate")
@@ -350,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.type is None and args.from_file is None:
-        parser.error("verify needs --type or --from-file")
-    if args.command == "verify" and args.type is not None and args.from_file is not None:
-        parser.error("verify takes --type or --from-file, not both")
+    if args.command == "verify" and (problem := _verify_flag_conflict(args)):
+        parser.error(problem)
     try:
         # A float lane sample beyond float64 would go on as inf and nan.
         with np.errstate(over="raise"):

@@ -51,12 +51,6 @@ class ConicFit:
     semi_minor: Optional[float]
     center: Optional[Tuple[float, float]]
 
-    @property
-    def axis_ratio(self) -> Optional[float]:
-        if self.semi_major is None or self.semi_minor in (None, 0.0):
-            return None
-        return self.semi_major / self.semi_minor
-
 
 @dataclass(frozen=True)
 class TrajectoryReport:

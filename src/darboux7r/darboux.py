@@ -19,6 +19,11 @@ doubled factor in the middle, FIII with a two-parameter family of
 doubled last factors).  FIV is the anchor instance of FIII at
 (a, b, c, x, y) = (1, 2, 0, 0, 0).  Combining two factorizations of the
 same motion yields closed 7R linkages (see linkage.py).
+
+FI exists because C / Q3 is a circular translation.  derive_fi and
+derive_fiii find their factors by that condition (_circular_split), and
+circular_translation_check decides it for C / Q3 with the same exact
+test; nothing here fits floats.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from . import conics
 from .dualquat import (
     DQ_ONE,
     DisplacementKind,
@@ -372,21 +376,20 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
 
 @dataclass(frozen=True)
 class CircularTranslationReport:
-    """Orbit geometry of the translation quotient C / Q3 and a perturbed twin."""
+    """Exact circularity pairs of the translation quotient C / Q3 and a perturbed twin.
+
+    Each pair is _circularity of a quotient, the test _circular_split
+    applies: a translation quotient is circular exactly when its pair is
+    (0, 0).
+    """
 
     params: DarbouxParams
-    points: Tuple[Tuple[float, float, float], ...]
-    n_samples: int
     quotient_primal_ok: bool
-    radii: Tuple[float, ...]
-    radius_spread: float
-    perturbed_semi_axes: Tuple[Tuple[float, float], ...]
-    perturbed_ratio_devs: Tuple[float, ...]
+    circularity: Tuple[Scalar, Scalar]
+    perturbed_circularity: Tuple[Scalar, Scalar]
 
 
-# Moving points, grid size and Q3 perturbation of circular_translation_check.
-ORBIT_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (-2, 1, 1))
-ORBIT_SAMPLES = 24
+# Shift of Q3's j dual coordinate in circular_translation_check.
 PERTURBATION = 1
 
 
@@ -401,17 +404,15 @@ def t_grid(n: int) -> Tuple[float, ...]:
 
 
 def circular_translation_check(p: DarbouxParams) -> CircularTranslationReport:
-    """Verify that C / Q3 is a circular translation and that circularity is sharp.
+    """Decide exactly that C / Q3 is a circular translation and that circularity is sharp.
 
     The quotient of C by the FI factor Q3 must have primal part t^2 + 1
-    (a translation).  Its sampled point orbits are circles of one common
-    radius; replacing Q3's j dual coordinate by w + PERTURBATION keeps the
-    quotient a translation but the orbits become visibly non-circular
-    ellipses.
+    (a translation) and meet both circularity conditions with zero
+    tolerance.  Replacing Q3's j dual coordinate w by w + PERTURBATION
+    keeps the quotient a translation, but one that is not circular.
     """
-    fi = factor_fi(p)
-    q3 = fi.factors[2]
     c = darboux_c(p)
+    q3 = factor_fi(p).factors[2]
     quot, rem = c.divmod_right(q3)
     primal_ok = (
         rem.is_zero()
@@ -419,36 +420,6 @@ def circular_translation_check(p: DarbouxParams) -> CircularTranslationReport:
         and quot.coeff(1).p.is_zero()
         and quot.coeff(0).p == Quaternion(1, 0, 0, 0)
     )
-    ts = t_grid(ORBIT_SAMPLES)
-    radii = []
-    for pt in ORBIT_POINTS:
-        rep = conics.trace_fit(quot.orbit(pt, ts))
-        if rep.conic_class is not conics.ConicClass.CIRCLE or rep.conic is None:
-            radii.append(float("nan"))
-        else:
-            radii.append((rep.conic.semi_major + rep.conic.semi_minor) / 2)
-    spread = max(radii) - min(radii)
-
-    q3root = -q3.coeff(0)
-    q3p = q3root + DualQuaternion(Q_ZERO, Quaternion(0, 0, PERTURBATION, 0))
+    q3p = -q3.coeff(0) + DualQuaternion(Q_ZERO, Quaternion(0, 0, PERTURBATION, 0))
     quot_p = _exact_quotient(c, MotionPoly.t_minus(q3p))
-    axes = []
-    devs = []
-    for pt in ORBIT_POINTS:
-        rep = conics.trace_fit(quot_p.orbit(pt, ts))
-        if rep.conic is None or rep.conic.semi_major is None:
-            axes.append((float("nan"), float("nan")))
-            devs.append(float("nan"))
-        else:
-            axes.append((rep.conic.semi_major, rep.conic.semi_minor))
-            devs.append(abs(rep.conic.axis_ratio - 1))
-    return CircularTranslationReport(
-        params=p,
-        points=tuple(tuple(float(v) for v in pt) for pt in ORBIT_POINTS),
-        n_samples=ORBIT_SAMPLES,
-        quotient_primal_ok=primal_ok,
-        radii=tuple(radii),
-        radius_spread=spread,
-        perturbed_semi_axes=tuple(axes),
-        perturbed_ratio_devs=tuple(devs),
-    )
+    return CircularTranslationReport(p, primal_ok, _circularity(quot), _circularity(quot_p))

@@ -241,9 +241,9 @@ def mobility_many(
     )
 
 
-def mobility_at(linkage: Linkage, t: Scalar, tol: float = RANK_RTOL) -> MobilityReport:
-    """Instantaneous mobility at one parameter value (see mobility_many)."""
-    return mobility_many(linkage, [t], tol)[0]
+def mobility_at(linkage: Linkage, t: Scalar) -> MobilityReport:
+    """Instantaneous mobility at one parameter value, at RANK_RTOL (see mobility_many)."""
+    return mobility_many(linkage, [t])[0]
 
 
 def parallel_groups(linkage: Linkage, t: Optional[Scalar] = None) -> Tuple[Tuple[int, ...], ...]:
@@ -377,18 +377,13 @@ def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
 
 
 def trace_point(
-    source: Union[Linkage, Factorization, MotionPoly],
+    source: Union[Linkage, MotionPoly],
     point: Sequence[Scalar],
     ts: Sequence[float],
     plane_rtol: float = conics.PLANE_RTOL,
 ) -> conics.TrajectoryReport:
-    """Sample the orbit of a coupler point and classify the trajectory."""
-    if isinstance(source, Linkage):
-        poly = source.product_a
-    elif isinstance(source, Factorization):
-        poly = source.product()
-    else:
-        poly = source
+    """Classify the sampled orbit of a point under a MotionPoly or a Linkage's coupler."""
+    poly = source.product_a if isinstance(source, Linkage) else source
     return conics.trace_fit(
         poly.orbit(point, ts),
         plane_rtol=plane_rtol,

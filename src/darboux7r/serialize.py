@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +22,7 @@ from .dualquat import AxisLine, DualQuaternion
 from .errors import MalformedInput
 from .linkage import Linkage, MobilityReport, Samples
 from .motionpoly import MotionPoly, RealPoly, poly_product
-from .scalars import Scalar, format_scalar, is_exact
+from .scalars import Scalar, format_scalar, is_exact, parse_scalar
 
 
 scalar_to_json = format_scalar
@@ -31,7 +30,7 @@ scalar_to_json = format_scalar
 
 def scalar_from_json(v) -> Scalar:
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_scalar(v)
     if isinstance(v, bool):
         raise ValueError("boolean is not a scalar")
     if isinstance(v, int):
@@ -131,13 +130,14 @@ def read_exact_factorization(path: str) -> Factorization:
     """Load a factorization file whose scalars are all exact.
 
     Invalid JSON, nesting too deep to decode, a missing key, a field of
-    the wrong type or a float scalar raise MalformedInput, so bad input
-    is never mistaken for a failed identity.
+    the wrong type, a rational with a zero denominator or a float scalar
+    raise MalformedInput, so bad input is never mistaken for a failed
+    identity.
     """
     try:
         with open(path) as fh:
             f = factorization_from_json(json.load(fh))
-    except (AttributeError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         # json.JSONDecodeError and every KinematicsError are ValueErrors.
         raise MalformedInput(
             f"{path}: not a factorization file: {type(exc).__name__}: {exc}"

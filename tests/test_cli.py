@@ -70,6 +70,8 @@ def test_verify_random_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--type", "FI", "--random", "20", "--seed", "7")
     assert code == 0
     assert "20/20" in out
+    code, out, _ = run(capsys, "verify", "--type", "FI", "--random", "3")
+    assert (code, out) == (0, "PASS: FI exact for 3/3 random parameter sets (seed 0)\n")
 
 
 def test_verify_needs_type_or_file(capsys):
@@ -266,6 +268,9 @@ def test_verify_file_wrong_field_type_exits_two(tmp_path, capsys):
     assert_input_error(*verify_doc(tmp_path, capsys, [doc]))
     for label in ([], {"FI": 1}, 3, None):
         assert_input_error(*verify_doc(tmp_path, capsys, dict(doc, label=label)))
+    code, out, err = verify_doc(tmp_path, capsys, dict(doc, cofactor=["1/0"]))
+    assert_input_error(code, out, err)
+    assert "'1/0' has a zero denominator" in err
 
 
 def test_verify_file_float_scalars_exit_two(tmp_path, capsys):
@@ -433,8 +438,13 @@ def test_zero_denominator_exits_two(capsys, argv, error):
             "darboux7r verify: error: argument --random: not allowed with argument --from-file",
         ),
         (("--type", "FII"), "darboux7r: error: verify takes --type or --from-file, not both"),
+        (
+            ("--a", "5"),
+            "darboux7r: error: verify --from-file sets its own parameters and does not take --a",
+        ),
+        (("--seed", "4"), "darboux7r: error: verify --seed needs --random"),
     ],
-    ids=["random", "type"],
+    ids=["random", "type", "params", "seed"],
 )
 def test_verify_from_file_refuses_conflicting_flags(tmp_path, capsys, flags, error):
     # The file names its type and parameters; a flag that would be ignored
@@ -445,6 +455,24 @@ def test_verify_from_file_refuses_conflicting_flags(tmp_path, capsys, flags, err
     assert code == 2
     assert out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [error]
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (
+            ("--random", "2", "--b=-1/2", "--y", "1"),
+            "verify --random sets its own parameters and does not take --b, --y",
+        ),
+        (("--seed", "4"), "verify --seed needs --random"),
+    ],
+    ids=["params", "seed"],
+)
+def test_verify_type_refuses_flags_it_would_ignore(capsys, flags, error):
+    code, out, err = run_exiting(capsys, "verify", "--type", "FI", *flags)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [f"darboux7r: error: {error}"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "mobility", "trace", "plot", "linkage"])

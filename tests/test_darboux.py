@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darboux7r import (
     AxisLine,
@@ -290,14 +292,16 @@ def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
         derive_fi(DarbouxParams(1, 2, 0))
 
 
-def test_circular_translation_check():
-    rng = random.Random(33)
-    for _ in range(5):
-        p = random_params(rng)
-        rep = circular_translation_check(p)
-        assert rep.quotient_primal_ok
-        assert rep.radius_spread < 1e-9
-        assert all(dev > 1e-3 for dev in rep.perturbed_ratio_devs)
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals.filter(lambda v: v != 0), rationals, rationals)
+def test_circular_translation_check(a, b, c):
+    rep = circular_translation_check(DarbouxParams(a, b, c))
+    assert rep.quotient_primal_ok
+    assert rep.circularity == (0, 0)
+    assert rep.perturbed_circularity != (0, 0)
 
 
 def test_circular_translation_congruent_offsets():

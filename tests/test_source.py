@@ -42,7 +42,39 @@ def test_imports_only_stdlib_numpy_and_the_package():
     assert found == []
 
 
-MAX_DEFAULTED_PARAMETERS = 15
+# The exact algebra layer stands on its own: the float fitting, the loops,
+# the file formats, the plots and the command line build on it, never the
+# other way round.
+ALGEBRA_MODULES = ("scalars", "errors", "dualquat", "motionpoly", "darboux")
+UPPER_MODULES = {"conics", "linkage", "serialize", "svgplot", "cli"}
+
+
+def imported_names(path: Path):
+    """(line, name) for each module or name a source file imports, package prefix dropped."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import m" names the module in an alias, "from .m import n" in module.
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.removeprefix("darboux7r.")
+
+
+def test_algebra_layer_imports_no_upper_layer():
+    package = Path(darboux7r.__file__).parent
+    found = [
+        f"{name}.py:{line} imports {module}"
+        for name in ALGEBRA_MODULES
+        for line, module in imported_names(package / f"{name}.py")
+        if module in UPPER_MODULES
+    ]
+    assert found == []
+
+
+MAX_DEFAULTED_PARAMETERS = 14
 
 
 def test_parameters_with_a_default_stay_at_the_ceiling():
