@@ -29,7 +29,7 @@ test; nothing here fits floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from .dualquat import (
@@ -43,7 +43,7 @@ from .dualquat import (
     vdot,
 )
 from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
-from .motionpoly import MotionPoly, ONE_POLY, RealPoly, poly_product, t_squared_plus_one
+from .motionpoly import MotionPoly, ONE_POLY, poly_product, t_squared_plus_one
 from .scalars import Scalar, sdiv
 
 
@@ -124,7 +124,7 @@ class Factorization:
     label: str
     params: DarbouxParams
     factors: Tuple[MotionPoly, ...]
-    cofactor: RealPoly
+    cofactor: MotionPoly
     free_xy: Optional[Tuple[Scalar, Scalar]] = None
     identical_adjacent: Tuple[Tuple[int, int], ...] = ()
 
@@ -222,9 +222,7 @@ def factor_fii(p: DarbouxParams) -> Factorization:
     )
 
 
-def factor_fiii(
-    p: DarbouxParams, x: Scalar = 0, y: Scalar = 0, label: str = "FIII"
-) -> Factorization:
+def factor_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization:
     """Four rotations with a doubled two-parameter last factor.
 
     Q'7 Q'6 Q'5 Q'4^2 = (t^2+1) C with Q'4 = t - k - x eps i - y eps j free in
@@ -253,10 +251,10 @@ def factor_fiii(
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     cofactor = t_squared_plus_one()
-    pc = poly_product((darboux_c(p), cofactor.to_motion()))
+    pc = poly_product((darboux_c(p), cofactor))
     q7 = _exact_quotient(pc, poly_product((q6, q5, q4, q4)))
     return Factorization(
-        label,
+        "FIII",
         p,
         (q7, q6, q5, q4, q4),
         cofactor,
@@ -267,7 +265,7 @@ def factor_fiii(
 
 def factor_fiv() -> Factorization:
     """Anchor instance of FIII at (a, b, c, x, y) = (1, 2, 0, 0, 0)."""
-    return factor_fiii(DarbouxParams(1, 2, 0), 0, 0, label="FIV")
+    return replace(factor_fiii(DarbouxParams(1, 2, 0)), label="FIV")
 
 
 def fiv_companion_fi() -> Factorization:
@@ -362,7 +360,7 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
     factor_fiii exactly.
     """
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
-    pc = poly_product((darboux_c(p), t_squared_plus_one().to_motion()))
+    pc = poly_product((darboux_c(p), t_squared_plus_one()))
     c2 = _exact_quotient(pc, poly_product((q4, q4)))
     return Factorization(
         "FIII",
@@ -393,14 +391,10 @@ class CircularTranslationReport:
 PERTURBATION = 1
 
 
-def phi_grid(n: int) -> Tuple[float, ...]:
-    """Midpoints of a uniform grid on (-pi, pi); odd n includes phi = 0."""
-    return tuple(-math.pi + 2 * math.pi * (k + 0.5) / n for k in range(n))
-
-
 def t_grid(n: int) -> Tuple[float, ...]:
-    """Parameter samples spread over the whole closed orbit via t = tan(phi/2)."""
-    return tuple(math.tan(phi / 2) for phi in phi_grid(n))
+    """Samples t = tan(phi/2) over the whole closed orbit, phi the midpoints of
+    a uniform grid on (-pi, pi); odd n includes t = 0."""
+    return tuple(math.tan((-math.pi + 2 * math.pi * (k + 0.5) / n) / 2) for k in range(n))
 
 
 def circular_translation_check(p: DarbouxParams) -> CircularTranslationReport:

@@ -6,7 +6,9 @@ right division is provided: for a divisor with invertible leading
 coefficient there are unique Q, R with C = Q*D + R and deg R < deg D.
 Right evaluation substitutes t = h with powers of h to the right of the
 coefficients; its zeros correspond exactly to monic linear right
-factors t - h.
+factors t - h.  A real polynomial, such as a cofactor or a quadratic
+factor of a norm polynomial, is a MotionPoly with real coefficients
+(MotionPoly.real); they are central, so it commutes with every MotionPoly.
 
 Exact polynomials clear their denominators in one place: the integral
 form (d*P, d) of MotionPoly.integral has int coefficients, d the lcm of
@@ -51,51 +53,6 @@ def _is_zero_coeff(c) -> bool:
 
 
 @dataclass(frozen=True)
-class RealPoly:
-    """Real (central) polynomial; coeffs[k] is the degree-k coefficient."""
-
-    coeffs: Tuple[Scalar, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other):
-        if isinstance(other, RealPoly):
-            if self.is_zero() or other.is_zero():
-                return RealPoly(())
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return RealPoly(tuple(out))
-        if isinstance(other, (int, float)) or is_exact(other):
-            return RealPoly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def to_motion(self) -> "MotionPoly":
-        return MotionPoly(tuple(DualQuaternion.from_scalar(c) for c in self.coeffs))
-
-
-def t_squared_plus_one() -> RealPoly:
-    return RealPoly((1, 0, 1))
-
-
-ONE_POLY = RealPoly((1,))
-
-
-@dataclass(frozen=True)
 class MotionPoly:
     """Polynomial with dual quaternion coefficients, t central."""
 
@@ -111,6 +68,11 @@ class MotionPoly:
     @classmethod
     def constant(cls, h: DualQuaternion) -> "MotionPoly":
         return cls((h,))
+
+    @classmethod
+    def real(cls, coeffs: Sequence[Scalar]) -> "MotionPoly":
+        """The real (central) polynomial with coeffs[k] as its degree-k coefficient."""
+        return cls(tuple(DualQuaternion.from_scalar(c) for c in coeffs))
 
     @property
     def degree(self) -> int:
@@ -150,8 +112,6 @@ class MotionPoly:
         return MotionPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, RealPoly):
-            other = other.to_motion()
         if isinstance(other, DualQuaternion):
             other = MotionPoly.constant(other)
         if isinstance(other, MotionPoly):
@@ -167,31 +127,12 @@ class MotionPoly:
             return MotionPoly(tuple(c.scale(other) for c in self.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Central multipliers only; dual quaternion factors must use __mul__
-        # so the side of the product stays explicit.
-        if isinstance(other, RealPoly):
-            return self.__mul__(other)
-        if isinstance(other, (int, float)) or is_exact(other):
-            return MotionPoly(tuple(c.scale(other) for c in self.coeffs))
-        return NotImplemented
-
     def conj(self) -> "MotionPoly":
         return MotionPoly(tuple(c.conj() for c in self.coeffs))
 
     def norm_poly(self) -> "MotionPoly":
         """Norm polynomial C * conj(C); real exactly for motion polynomials."""
         return self * self.conj()
-
-    def norm_real_poly(self) -> RealPoly:
-        """Norm polynomial as a real polynomial; raises if any coefficient is not real."""
-        n = self.norm_poly()
-        out = []
-        for c in n.coeffs:
-            if not _coeff_is_real(c):
-                raise ValueError("norm polynomial has non-real coefficients")
-            out.append(c.p.w)
-        return RealPoly(tuple(out))
 
     def eval(self, t: Scalar) -> DualQuaternion:
         """Evaluate at a scalar parameter value (scalars are central)."""
@@ -273,7 +214,11 @@ class MotionPoly:
         """Invertible leading coefficient and a real norm polynomial."""
         if self.is_zero() or not self.leading.invertible():
             return False
-        return all(_coeff_is_real(c) for c in self.norm_poly().coeffs)
+        return self.norm_poly().is_real()
+
+    def is_real(self) -> bool:
+        """Every coefficient is real, so the polynomial is central."""
+        return all(viszero(c.p.vector) and c.d.is_zero() for c in self.coeffs)
 
     def is_float(self) -> bool:
         return any(c.is_float() for c in self.coeffs)
@@ -306,8 +251,11 @@ class MotionPoly:
         ]))
 
 
-def _coeff_is_real(c: DualQuaternion) -> bool:
-    return viszero(c.p.vector) and c.d.is_zero()
+def t_squared_plus_one() -> MotionPoly:
+    return MotionPoly.real((1, 0, 1))
+
+
+ONE_POLY = MotionPoly.real((1,))
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -403,24 +351,24 @@ def poses_many(factors: Sequence[MotionPoly], ts: Sequence[Scalar]) -> np.ndarra
     return poses
 
 
-def right_factor_from_quadratic(c: MotionPoly, m: RealPoly) -> DualQuaternion:
+def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:
     """Extract h with norm(t - h) = m and t - h a right factor of c.
 
-    m must be a monic real quadratic without real roots that divides the
-    norm polynomial of c.  The remainder r1*t + r0 of c mod m determines
-    h = -r1^{-1} * r0 when r1 is invertible; otherwise the instance is
-    non-generic and no conclusion is drawn.
+    m must be a monic quadratic with real coefficients and no real roots
+    that divides the norm polynomial of c.  The remainder r1*t + r0 of c
+    mod m determines h = -r1^{-1} * r0 when r1 is invertible; otherwise
+    the instance is non-generic and no conclusion is drawn.
     """
-    if m.degree != 2 or not m.is_monic():
-        raise NotADivisor("expected a monic quadratic")
-    m1, m0 = m.coeffs[1], m.coeffs[0]
+    if m.degree != 2 or not m.is_monic() or not m.is_real():
+        raise NotADivisor("expected a monic real quadratic")
+    m1, m0 = m.coeffs[1].p.w, m.coeffs[0].p.w
     if m1 * m1 - 4 * m0 >= 0:
         raise NotADivisor("quadratic must have no real roots")
     norm = c.norm_poly()
-    _, nrem = norm.divmod_right(m.to_motion())
+    _, nrem = norm.divmod_right(m)
     if not nrem.is_zero():
         raise NotADivisor("quadratic does not divide the norm polynomial")
-    _, rem = c.divmod_right(m.to_motion())
+    _, rem = c.divmod_right(m)
     r1 = rem.coeff(1)
     r0 = rem.coeff(0)
     if not r1.invertible():
@@ -428,19 +376,19 @@ def right_factor_from_quadratic(c: MotionPoly, m: RealPoly) -> DualQuaternion:
     h = -(r1.inverse() * r0)
     if not h.is_float():
         factor = MotionPoly.t_minus(h)
-        if factor.norm_poly() != m.to_motion() or not c.divmod_right(factor)[1].is_zero():
+        if factor.norm_poly() != m or not c.divmod_right(factor)[1].is_zero():
             raise NotADivisor("extracted t - h does not right-divide c with norm m")
     return h
 
 
 def factorization_residual(
-    factors: Sequence[MotionPoly], target: MotionPoly, cofactor: RealPoly = ONE_POLY
+    factors: Sequence[MotionPoly], target: MotionPoly, cofactor: MotionPoly
 ) -> Scalar:
     """Largest |coefficient| of product(factors) - cofactor * target.
 
     With product(factors) = P/dP and cofactor * target = C/dC in integral
     form this is max |P*dC - C*dP| / (dP*dC), divided once.
     """
-    (p, dp), (c, dc) = integral_product(factors), integral_product((cofactor.to_motion(), target))
+    (p, dp), (c, dc) = integral_product(factors), integral_product((cofactor, target))
     diff = p * dc - c * dp
     return sdiv(max((abs(v) for h in diff.coeffs for v in h.coeffs()), default=0), dp * dc)

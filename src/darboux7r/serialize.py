@@ -21,7 +21,7 @@ from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion
 from .errors import MalformedInput
 from .linkage import Linkage, MobilityReport, Samples
-from .motionpoly import MotionPoly, RealPoly, poly_product
+from .motionpoly import MotionPoly, poly_product
 from .scalars import Scalar, format_scalar, is_exact, parse_scalar
 
 
@@ -40,12 +40,19 @@ def scalar_from_json(v) -> Scalar:
     raise ValueError(f"cannot parse scalar from {v!r}")
 
 
+def _json_list(v) -> List:
+    """v itself if it is a JSON array; a string, number or object raises TypeError."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
 def dq_to_json(h: DualQuaternion) -> List:
     return [scalar_to_json(c) for c in h.coeffs()]
 
 
 def dq_from_json(arr: Sequence) -> DualQuaternion:
-    return DualQuaternion.from_coeffs([scalar_from_json(v) for v in arr])
+    return DualQuaternion.from_coeffs([scalar_from_json(v) for v in _json_list(arr)])
 
 
 def axis_to_json(ax: AxisLine) -> Dict[str, Any]:
@@ -67,15 +74,18 @@ def motionpoly_to_json(p: MotionPoly) -> List[List]:
 
 
 def motionpoly_from_json(arr: Sequence[Sequence]) -> MotionPoly:
-    return MotionPoly(tuple(dq_from_json(row) for row in arr))
+    return MotionPoly(tuple(dq_from_json(row) for row in _json_list(arr)))
 
 
-def realpoly_to_json(p: RealPoly) -> List:
-    return [scalar_to_json(c) for c in p.coeffs]
+def realpoly_to_json(p: MotionPoly) -> List:
+    """The scalar parts of a real polynomial's coefficients; other coefficients raise."""
+    if not p.is_real():
+        raise ValueError("a real polynomial has a coefficient that is not real")
+    return [scalar_to_json(c.p.w) for c in p.coeffs]
 
 
-def realpoly_from_json(arr: Sequence) -> RealPoly:
-    return RealPoly(tuple(scalar_from_json(v) for v in arr))
+def realpoly_from_json(arr: Sequence) -> MotionPoly:
+    return MotionPoly.real([scalar_from_json(v) for v in _json_list(arr)])
 
 
 def params_to_json(p: DarbouxParams) -> Dict[str, Any]:
@@ -114,15 +124,17 @@ def _index_pair(pair: Sequence) -> Tuple[int, int]:
 
 def factorization_from_json(d: Dict[str, Any]) -> Factorization:
     free = d.get("free_xy")
+    if free is not None and len(_json_list(free)) != 2:
+        raise TypeError(f"expected two free_xy scalars, got {free!r}")
     if not isinstance(d["label"], str):
         raise TypeError(f"expected a string label, got {d['label']!r}")
     return Factorization(
         label=d["label"],
         params=params_from_json(d["params"]),
-        factors=tuple(motionpoly_from_json(q) for q in d["factors"]),
+        factors=tuple(motionpoly_from_json(q) for q in _json_list(d["factors"])),
         cofactor=realpoly_from_json(d["cofactor"]),
         free_xy=None if free is None else tuple(scalar_from_json(v) for v in free),
-        identical_adjacent=tuple(_index_pair(pair) for pair in d["identical_adjacent"]),
+        identical_adjacent=tuple(_index_pair(pair) for pair in _json_list(d["identical_adjacent"])),
     )
 
 
@@ -142,8 +154,8 @@ def read_exact_factorization(path: str) -> Factorization:
         raise MalformedInput(
             f"{path}: not a factorization file: {type(exc).__name__}: {exc}"
         ) from exc
-    scalars = [f.params.a, f.params.b, f.params.c, *f.cofactor.coeffs, *(f.free_xy or ())]
-    if any(q.is_float() for q in f.factors) or not all(is_exact(v) for v in scalars):
+    scalars = [f.params.a, f.params.b, f.params.c, *(f.free_xy or ())]
+    if any(q.is_float() for q in (f.cofactor, *f.factors)) or not all(map(is_exact, scalars)):
         raise MalformedInput(
             f"{path}: exact verification needs rational strings or integers, not floats"
         )
@@ -152,7 +164,7 @@ def read_exact_factorization(path: str) -> Factorization:
 
 def closure_certificate(linkage: Linkage) -> str:
     """SHA-256 of the canonical JSON of the common motion (times both cofactors)."""
-    common = poly_product((linkage.product_a, linkage.chain_b.cofactor.to_motion()))
+    common = poly_product((linkage.product_a, linkage.chain_b.cofactor))
     payload = json.dumps(motionpoly_to_json(common), separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -16,7 +16,6 @@ from darboux7r import (
     DualQuaternion,
     MotionPoly,
     NonGeneric,
-    RealPoly,
     build_linkage,
     circular_translation_check,
     closes_exactly,
@@ -81,7 +80,7 @@ def test_c01_fi_product_equals_c_exactly_100_random():
 
 def test_c02_fii_product_equals_p_times_c_exactly_100_random():
     rng = random.Random(102)
-    P = t_squared_plus_one().to_motion()
+    P = t_squared_plus_one()
     for _ in range(100):
         p = random_params(rng)
         assert factor_fii(p).product() == P * darboux_c(p)
@@ -90,7 +89,7 @@ def test_c02_fii_product_equals_p_times_c_exactly_100_random():
 
 def test_c03_fiii_product_exact_and_transcription_matches_division():
     rng = random.Random(103)
-    P = t_squared_plus_one().to_motion()
+    P = t_squared_plus_one()
     for _ in range(100):
         p, x, y = random_fiii_args(rng)
         f = factor_fiii(p, x, y)  # its leftmost factor comes from exact division
@@ -150,13 +149,14 @@ def test_c05_generic_algorithm_obstruction_and_success():
     while successes < 20:
         h1, h2 = rotation_root(), rotation_root()
         C = MotionPoly.t_minus(h1) * MotionPoly.t_minus(h2)
-        M = MotionPoly.t_minus(h2).norm_real_poly()
+        M = MotionPoly.real((h2.p.norm(), 0, 1))  # t^2 + |h2|^2
+        assert MotionPoly.t_minus(h2).norm_poly() == M
         try:
             h = right_factor_from_quadratic(C, M)
         except (NonGeneric, NotADivisor):
             continue
         factor = MotionPoly.t_minus(h)
-        assert factor.norm_real_poly() == M
+        assert factor.norm_poly() == M
         _, rem = C.divmod_right(factor)
         assert rem.degree < 0
         successes += 1
@@ -175,7 +175,7 @@ def test_c06_norm_of_c_is_p_cubed_with_zero_dual():
         norm = darboux_c(p).norm_poly()
         for coeff in norm.coeffs:
             assert coeff.d == Quaternion(0, 0, 0, 0)
-        assert darboux_c(p).norm_real_poly() == cube
+        assert norm == cube
     print("PASS: Norm(C) = (t^2+1)^3 exactly with identically zero dual part")
 
 

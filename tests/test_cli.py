@@ -271,6 +271,23 @@ def test_verify_file_wrong_field_type_exits_two(tmp_path, capsys):
     code, out, err = verify_doc(tmp_path, capsys, dict(doc, cofactor=["1/0"]))
     assert_input_error(code, out, err)
     assert "'1/0' has a zero denominator" in err
+    # A string or an object in place of a list is not read one character or
+    # key at a time, and free_xy holds exactly two scalars.
+    fiii = serialize.factorization_to_json(factor_fiii(PARAMS, Fraction(1, 3), Fraction(-2, 7)))
+    row_as_string = json.loads(json.dumps(fiii))
+    row_as_string["factors"][0][1] = "".join(row_as_string["factors"][0][1])  # "10000000"
+    for bad in (
+        dict(fiii, cofactor="101"),
+        dict(fiii, free_xy="00"),
+        dict(fiii, free_xy=["1/3", "-2/7", "0"]),
+        row_as_string,
+        dict(doc, identical_adjacent=""),
+        dict(doc, factors=""),
+        dict(doc, cofactor={"0": "1"}),
+    ):
+        code, out, err = verify_doc(tmp_path, capsys, bad)
+        assert_input_error(code, out, err)
+        assert "TypeError: expected" in err
 
 
 def test_verify_file_float_scalars_exit_two(tmp_path, capsys):

@@ -16,7 +16,6 @@ from darboux7r import (
     DegenerateParams,
     DualQuaternion,
     MotionPoly,
-    RealPoly,
     SingularChoice,
     circular_translation_check,
     darboux_c,
@@ -114,13 +113,13 @@ def test_c0_is_frame_change_times_c():
 
 def test_c_is_motion_polynomial_and_norm():
     rng = random.Random(22)
-    cube = RealPoly((1, 0, 1)) * RealPoly((1, 0, 1)) * RealPoly((1, 0, 1))
+    cube = MotionPoly.real((1, 0, 3, 0, 3, 0, 1))  # (t^2 + 1)^3
     for _ in range(50):
         p = random_params(rng)
         C = darboux_c(p)
         assert C.is_motion_polynomial()
         assert darboux_c0(p).is_motion_polynomial()
-        assert C.norm_real_poly() == cube
+        assert C.norm_poly() == cube
 
 
 def test_primal_part_factors_as_advertised():
@@ -128,7 +127,7 @@ def test_primal_part_factors_as_advertised():
     for _ in range(20):
         C = darboux_c(random_params(rng))
         primal = MotionPoly(tuple(DualQuaternion(c.p, Q_ZERO) for c in C.coeffs))
-        expect = t_squared_plus_one().to_motion() * MotionPoly.t_minus(dq(h3=1))
+        expect = t_squared_plus_one() * MotionPoly.t_minus(dq(h3=1))
         assert primal == expect
 
 
@@ -160,13 +159,13 @@ def test_fi_product_is_c():
     for _ in range(100):
         p = random_params(rng)
         f = factor_fi(p)
-        assert f.cofactor == RealPoly((1,))
+        assert f.cofactor == MotionPoly.real((1,))
         assert f.product() == darboux_c(p)
 
 
 def test_fii_product_is_p_times_c():
     rng = random.Random(26)
-    P = t_squared_plus_one().to_motion()
+    P = t_squared_plus_one()
     for _ in range(100):
         p = random_params(rng)
         f = factor_fii(p)
@@ -178,7 +177,7 @@ def test_fii_product_is_p_times_c():
 
 def test_fiii_product_is_p_times_c():
     rng = random.Random(27)
-    P = t_squared_plus_one().to_motion()
+    P = t_squared_plus_one()
     for _ in range(100):
         p, x, y = random_fiii_args(rng)
         f = factor_fiii(p, x, y)
@@ -229,7 +228,7 @@ def test_fii_collapsed_instance():
 
 def test_fii_left_chain_is_p_times_c1():
     rng = random.Random(30)
-    P = t_squared_plus_one().to_motion()
+    P = t_squared_plus_one()
     for _ in range(20):
         p = random_params(rng)
         f = factor_fii(p)
@@ -285,7 +284,7 @@ def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
     # s u term; the quotient at the solution of the probed system is not
     # circular, which the check on that quotient must report.
     cubic = poly_product(
-        (MotionPoly.t_minus(dq(h5=1, h6=1, h7=1)), t_squared_plus_one().to_motion())
+        (MotionPoly.t_minus(dq(h5=1, h6=1, h7=1)), t_squared_plus_one())
     )
     monkeypatch.setattr(darboux, "darboux_c", lambda p: cubic)
     with pytest.raises(ValueError, match="not affine"):

@@ -148,7 +148,7 @@ def edited_factorizations(draw):
 def test_residual_of_an_edited_factorization_is_the_fraction_residual(case):
     f, factors = case
     residual = factorization_residual(factors, f.target(), f.cofactor)
-    diff = reference_product(factors) - reference_product([f.cofactor.to_motion(), f.target()])
+    diff = reference_product(factors) - reference_product([f.cofactor, f.target()])
     expected = max((abs(v) for v in values(diff)), default=0)
     assert residual == expected
     # verify prints the residual on its FAIL line with str().

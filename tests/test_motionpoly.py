@@ -13,12 +13,11 @@ from darboux7r import (
     NonGeneric,
     NonInvertibleLeader,
     NotADivisor,
-    RealPoly,
     right_factor_from_quadratic,
     t_squared_plus_one,
 )
 from darboux7r.dualquat import DQ_ONE, Quaternion
-from darboux7r.motionpoly import factorization_residual
+from darboux7r.motionpoly import ONE_POLY, factorization_residual
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
@@ -64,7 +63,7 @@ def test_real_polys_are_central():
     P = t_squared_plus_one()
     for _ in range(50):
         C = random_poly(rng, rng.randint(0, 4))
-        assert C * P == P.to_motion() * C
+        assert C * P == P * C
 
 
 def test_mul_associative_and_degree():
@@ -79,7 +78,7 @@ def test_mul_associative_and_degree():
 
 def test_norm_examples():
     tk = MotionPoly.t_minus(K)
-    assert tk.norm_real_poly() == RealPoly((1, 0, 1))
+    assert tk.norm_poly() == MotionPoly.real((1, 0, 1))
 
 
 def test_norm_multiplicative():
@@ -195,10 +194,13 @@ def test_right_factor_from_quadratic_examples():
 def test_right_factor_rejects_non_divisor():
     C = MotionPoly.t_minus(I) * MotionPoly.t_minus(J.scale(2))
     with pytest.raises(NotADivisor):
-        right_factor_from_quadratic(C, RealPoly((3, 0, 1)))  # t^2 + 3 divides nothing here
+        right_factor_from_quadratic(C, MotionPoly.real((3, 0, 1)))  # t^2 + 3 divides nothing here
     with pytest.raises(NotADivisor):
         # real roots: not an irreducible quadratic
-        right_factor_from_quadratic(C, RealPoly((-1, 0, 1)))
+        right_factor_from_quadratic(C, MotionPoly.real((-1, 0, 1)))
+    with pytest.raises(NotADivisor, match="monic real quadratic"):
+        # t^2 + 1 + i: monic quadratic, but its constant coefficient is not real
+        right_factor_from_quadratic(C, MotionPoly((ONE + I, ZERO, ONE)))
 
 
 def test_right_factor_random_generic_products():
@@ -208,13 +210,14 @@ def test_right_factor_random_generic_products():
         h1 = random_rotation_root(rng)
         h2 = random_rotation_root(rng)
         C = MotionPoly.t_minus(h1) * MotionPoly.t_minus(h2)
-        M = MotionPoly.t_minus(h2).norm_real_poly()
+        M = MotionPoly.t_minus(h2).norm_poly()
+        assert M.is_real()
         try:
             h = right_factor_from_quadratic(C, M)
         except NonGeneric:
             continue
         factor = MotionPoly.t_minus(h)
-        assert factor.norm_real_poly() == M
+        assert factor.norm_poly() == M
         _, R = C.divmod_right(factor)
         assert R.degree < 0
         done += 1
@@ -226,9 +229,9 @@ def test_verify_factorization():
         f1 = MotionPoly.t_minus(random_rotation_root(rng))
         f2 = MotionPoly.t_minus(random_rotation_root(rng))
         target = f1 * f2
-        assert factorization_residual([f1, f2], target) == 0
+        assert factorization_residual([f1, f2], target, ONE_POLY) == 0
         if f1 * f2 != f2 * f1:
-            assert factorization_residual([f2, f1], target) != 0
+            assert factorization_residual([f2, f1], target, ONE_POLY) != 0
 
 
 def test_verify_factorization_with_cofactor():

@@ -6,6 +6,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from darboux7r import (
     DarbouxParams,
     build_linkage,
@@ -16,7 +18,7 @@ from darboux7r import (
     t_grid,
 )
 from darboux7r.dualquat import AxisLine, DualQuaternion
-from darboux7r.motionpoly import MotionPoly, RealPoly
+from darboux7r.motionpoly import MotionPoly
 from darboux7r import serialize
 
 
@@ -47,8 +49,17 @@ def test_dq_and_poly_round_trip():
         assert serialize.dq_from_json(serialize.dq_to_json(h)) == h
     poly = MotionPoly(tuple(random_dq(rng) for _ in range(4)))
     assert serialize.motionpoly_from_json(serialize.motionpoly_to_json(poly)) == poly
-    rp = RealPoly((Fraction(1, 3), 0, 2))
+    rp = MotionPoly.real((Fraction(1, 3), 0, 2))
+    assert serialize.realpoly_to_json(rp) == ["1/3", "0", "2"]
     assert serialize.realpoly_from_json(serialize.realpoly_to_json(rp)) == rp
+
+
+def test_realpoly_to_json_rejects_a_coefficient_that_is_not_real():
+    # The cofactor is written as scalars, so a quaternion part would be lost.
+    for coeffs in ([1, 0, 0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]):  # 1 + k, 1 + eps
+        poly = MotionPoly((DualQuaternion.from_coeffs(coeffs), DualQuaternion.from_scalar(1)))
+        with pytest.raises(ValueError, match="not real"):
+            serialize.realpoly_to_json(poly)
 
 
 def test_axis_round_trip():
@@ -77,8 +88,8 @@ def test_tampered_factorization_fails_verification():
     doc = serialize.factorization_to_json(f)
     doc["factors"][0][0][5] = "9/2"  # corrupt one dual coefficient
     bad = serialize.factorization_from_json(doc)
-    assert bad.product() != bad.cofactor.to_motion() * bad.target()
-    assert f.product() == f.cofactor.to_motion() * f.target()
+    assert bad.product() != bad.cofactor * bad.target()
+    assert f.product() == f.cofactor * f.target()
 
 
 def test_linkage_json_certificate_matches_both_chains():

@@ -74,7 +74,7 @@ def test_algebra_layer_imports_no_upper_layer():
     assert found == []
 
 
-MAX_DEFAULTED_PARAMETERS = 14
+MAX_DEFAULTED_PARAMETERS = 12
 
 
 def test_parameters_with_a_default_stay_at_the_ceiling():
