@@ -3,7 +3,12 @@
 Subcommands: factor, verify, linkage, simulate, trace, mobility, plot.
 Rational parameters are passed as strings like "3/2" (use --b=-1/2 for
 negative fractions).  Exit codes: 0 success, 1 verification failure,
-2 usage, parameter or input-file error.
+2 usage, parameter or input-file error.  A parameter flag that the
+chosen --type does not use is a usage error.
+
+factor and verify stay on the exact lane and never load numpy; main runs
+the float-lane commands (linkage, simulate, trace, mobility, plot) under
+numpy.errstate(over="raise"), so a float64 overflow exits 2.
 
 build_parser makes the argparse tree on its first call, from main, and
 returns that same parser to every later call in the process.
@@ -17,11 +22,10 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import serialize, svgplot
+from ._numpy import np
 from .darboux import (
     DarbouxParams,
     Factorization,
@@ -45,22 +49,26 @@ from .linkage import (
 from .motionpoly import factorization_residual
 from .scalars import Scalar, format_scalar, parse_scalar
 
-# Factorization families by label, each built from (a, b, c, x, y).  Only
-# FIII uses the free pair x, y; FIV is a fixed instance and uses nothing.
+# Factorization families by label: the parameter flags a family uses and
+# its builder, which takes their values in that order.  Only FIII uses the
+# free pair x, y; FIV is a fixed instance and uses none.
 FAMILIES = {
-    "FI": lambda a, b, c, x, y: factor_fi(DarbouxParams(a, b, c)),
-    "FII": lambda a, b, c, x, y: factor_fii(DarbouxParams(a, b, c)),
-    "FIII": lambda a, b, c, x, y: factor_fiii(DarbouxParams(a, b, c), x, y),
-    "FIV": lambda *_: factor_fiv(),
+    "FI": ("abc", lambda a, b, c: factor_fi(DarbouxParams(a, b, c))),
+    "FII": ("abc", lambda a, b, c: factor_fii(DarbouxParams(a, b, c))),
+    "FIII": ("abcxy", lambda a, b, c, x, y: factor_fiii(DarbouxParams(a, b, c), x, y)),
+    "FIV": ("", factor_fiv),
 }
-# Closed loops by label: the builders of chain A and chain B.
+# Closed loops by label: the families of chain A and chain B.
 LOOPS = {
     "FI+FIII": (FAMILIES["FI"], FAMILIES["FIII"]),
     "FI+FII": (FAMILIES["FI"], FAMILIES["FII"]),
-    "FIV": (lambda *_: fiv_companion_fi(), FAMILIES["FIV"]),
+    "FIV": (("", fiv_companion_fi), FAMILIES["FIV"]),
 }
 SINGLE_TYPES = tuple(FAMILIES)
 PAIR_TYPES = tuple(LOOPS)
+# The commands that build factorizations and stay on the exact lane; the
+# others build loops and sample them on the float lane.
+EXACT_COMMANDS = ("factor", "verify")
 
 
 def _rational(text: str):
@@ -101,21 +109,27 @@ def _add_sampling_flags(p: argparse.ArgumentParser, default_samples: int) -> Non
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
 
 
-def _param_values(args) -> Tuple[Scalar, ...]:
-    """(a, b, c, x, y) from the flags, with PARAM_DEFAULTS for those not given."""
-    return tuple(
-        default if getattr(args, name) is None else getattr(args, name)
+def _param_values(args) -> Dict[str, Scalar]:
+    """Value of each parameter flag, PARAM_DEFAULTS for those not given."""
+    return {
+        name: default if getattr(args, name) is None else getattr(args, name)
         for name, default in PARAM_DEFAULTS.items()
-    )
+    }
+
+
+def build_family(family, values: Dict[str, Scalar]) -> Factorization:
+    """A FAMILIES entry's factorization, from the values of the parameters it uses."""
+    names, build = family
+    return build(*(values[name] for name in names))
 
 
 def _build_factorization(args) -> Factorization:
-    return FAMILIES[args.type](*_param_values(args))
+    return build_family(FAMILIES[args.type], _param_values(args))
 
 
 def _build_linkage(args) -> Linkage:
     values = _param_values(args)
-    return build_linkage(*(build(*values) for build in LOOPS[args.type]))
+    return build_linkage(*(build_family(family, values) for family in LOOPS[args.type]))
 
 
 # From |t| = 1e16 on, pi - 2*atan(t) rounds to its limit at t = +-inf in
@@ -177,7 +191,7 @@ def _random_factorization(kind: str, rng: random.Random) -> Factorization:
         while a == 0:
             a = q()
         try:
-            return FAMILIES[kind](a, q(), q(), q(), q())
+            return build_family(FAMILIES[kind], dict(zip(PARAM_DEFAULTS, (a, q(), q(), q(), q()))))
         except SingularChoice:
             continue
 
@@ -211,18 +225,27 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _verify_flag_conflict(args) -> Optional[str]:
-    """Why verify cannot use every flag it was given, or None."""
-    if args.type is None and args.from_file is None:
-        return "verify needs --type or --from-file"
-    if args.type is not None and args.from_file is not None:
-        return "verify takes --type or --from-file, not both"
-    source = "--from-file" if args.from_file is not None else "--random" if args.random is not None else None
-    given = [f"--{name}" for name in PARAM_DEFAULTS if getattr(args, name) is not None]
-    if source is not None and given:
-        return f"verify {source} sets its own parameters and does not take {', '.join(given)}"
-    if args.seed is not None and args.random is None:
-        return "verify --seed needs --random"
+def _flag_conflict(args) -> Optional[str]:
+    """Why the command cannot use every flag it was given, or None."""
+    given = [name for name in PARAM_DEFAULTS if getattr(args, name) is not None]
+    if args.command == "verify":
+        if args.type is None and args.from_file is None:
+            return "verify needs --type or --from-file"
+        if args.type is not None and args.from_file is not None:
+            return "verify takes --type or --from-file, not both"
+        source = "--from-file" if args.from_file is not None else "--random" if args.random is not None else None
+        if source is not None and given:
+            flags = ", ".join(f"--{name}" for name in given)
+            return f"verify {source} sets its own parameters and does not take {flags}"
+        if args.seed is not None and args.random is None:
+            return "verify --seed needs --random"
+    if args.type is None:  # verify --from-file: the file names its type and parameters
+        return None
+    families = (FAMILIES[args.type],) if args.command in EXACT_COMMANDS else LOOPS[args.type]
+    used = "".join(names for names, _ in families)
+    unused = [f"--{name}" for name in given if name not in used]
+    if unused:
+        return f"{args.command} --type {args.type} does not use {', '.join(unused)}"
     return None
 
 
@@ -379,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and (problem := _verify_flag_conflict(args)):
+    if problem := _flag_conflict(args):
         parser.error(problem)
     try:
+        if args.command in EXACT_COMMANDS:
+            return args.func(args)
         # A float lane sample beyond float64 would go on as inf and nan.
         with np.errstate(over="raise"):
             return args.func(args)

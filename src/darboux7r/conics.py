@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InsufficientSamples
 
 # Defaults chosen so that an exactly planar, exactly conic float orbit

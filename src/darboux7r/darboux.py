@@ -140,6 +140,9 @@ class Factorization:
         Every factor must be monic linear with a rotation root, each
         identical_adjacent pair must name two equal adjacent factors, and
         the factor count and pairs must be those of the label's family.
+        FI and FII have no free_xy; for FIII and FIV the doubled last
+        factor is t - k - x eps i - y eps j at free_xy = (x, y), and FIV is
+        the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).
         """
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
@@ -160,6 +163,21 @@ class Factorization:
                 f"has {n} factors with identical_adjacent {list(self.identical_adjacent)}; "
                 f"the label needs {count} factors with {list(pairs)}"
             )
+        xy = self.free_xy
+        if self.label in ("FI", "FII"):
+            if xy is not None:
+                raise NotRotational("has free_xy; the label needs null")
+            return
+        if xy is None:
+            raise NotRotational("needs free_xy, a pair x, y")
+        if self.factors[-1] != MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, *xy, 0))):
+            raise NotRotational(
+                "doubled last factor is not t - k - x eps i - y eps j"
+                f" at free_xy ({xy[0]}, {xy[1]})"
+            )
+        p = self.params
+        if self.label == "FIV" and ((p.a, p.b, p.c), xy) != ((1, 2, 0), (0, 0)):
+            raise NotRotational("is the instance (a, b, c, x, y) = (1, 2, 0, 0, 0) only")
 
     def roots(self) -> Tuple[DualQuaternion, ...]:
         """Root h of each monic linear factor t - h, in factor order."""

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NotADisplacement, NotARotation, ZeroPrimal
 from .scalars import Scalar, is_exact, sdiv
 
@@ -380,11 +379,12 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
 # A dual quaternion is a row [h0..h7] (primal then dual), a quaternion a
 # row [w, x, y, z] and a projective point a row [x0..x3]; leading axes
 # broadcast.  Each formula repeats its scalar counterpart operation by
-# operation.
+# operation.  The constant rows are tuples of floats, which broadcast as
+# float64 rows, so importing this module runs no numpy.
 
-DQ_ONE_ROW = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_CONJ8 = np.concatenate((_CONJ, _CONJ))
+DQ_ONE_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_CONJ = (1.0, -1.0, -1.0, -1.0)
+_CONJ8 = _CONJ + _CONJ
 
 
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from . import conics
+from ._numpy import np
 from .darboux import Factorization
 from .dualquat import (
     AxisLine,

@@ -32,8 +32,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .dualquat import DQ_ONE, DQ_ONE_ROW, DualQuaternion, act_many, dq_mul_many, viszero
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact, sdiv

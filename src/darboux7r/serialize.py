@@ -14,8 +14,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .conics import TrajectoryReport
 from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion

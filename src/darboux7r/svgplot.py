@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .darboux import t_grid
 from .errors import KinematicsError
 from .linkage import Linkage, axes_many

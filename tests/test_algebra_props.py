@@ -27,7 +27,7 @@ from darboux7r import (  # noqa: E402
     SingularChoice,
     serialize,
 )
-from darboux7r.cli import FAMILIES, main  # noqa: E402
+from darboux7r.cli import FAMILIES, build_family, main  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Quaternion  # noqa: E402
 from darboux7r.scalars import is_exact  # noqa: E402
 
@@ -132,7 +132,7 @@ def test_divmod_right_by_a_monic_divisor(c, d):
 
 def build(kind, p, x, y) -> Factorization:
     try:
-        return FAMILIES[kind](p.a, p.b, p.c, x, y)
+        return build_family(FAMILIES[kind], dict(a=p.a, b=p.b, c=p.c, x=x, y=y))
     except SingularChoice:
         assume(False)
 

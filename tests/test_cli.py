@@ -48,11 +48,12 @@ def test_factor_rejects_vertical_params(capsys):
     assert "vertical" in err
 
 
-def test_fiv_ignores_the_parameter_flags(capsys):
+def test_fiv_takes_no_parameter_flags(capsys):
     # FIV is one fixed instance, in factor and verify as in the loop commands.
-    anchor = run(capsys, "factor", "--type", "FIV")
-    assert run(capsys, "factor", "--type", "FIV", "--a", "0", "--b", "5") == anchor
-    assert run(capsys, "verify", "--type", "FIV", "--a", "0")[0] == 0
+    for command in ("factor", "verify", "linkage", "simulate"):
+        code, out, err = run_exiting(capsys, command, "--type", "FIV", "--a", "0", "--b", "5")
+        assert (code, out) == (2, "")
+        assert f"error: {command} --type FIV does not use --a, --b\n" in err
 
 
 def test_verify_examples(capsys):
@@ -106,6 +107,18 @@ def test_verify_tampered_file_fails(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "residual" in out
+    # free_xy and the label must match the factors, whose product still passes.
+    fi = serialize.factorization_to_json(factor_fi(PARAMS))
+    fiii = serialize.factorization_to_json(factor_fiii(PARAMS, Fraction(1, 3), Fraction(-2, 7)))
+    for bad, failure in (
+        (dict(fiii, free_xy=["5", "7"]),
+         "FIII doubled last factor is not t - k - x eps i - y eps j at free_xy (5, 7)"),
+        (dict(fiii, free_xy=None), "FIII needs free_xy, a pair x, y"),
+        (dict(fi, free_xy=["5", "7"]), "FI has free_xy; the label needs null"),
+        (dict(fiii, label="FIV"), "FIV is the instance (a, b, c, x, y) = (1, 2, 0, 0, 0) only"),
+    ):
+        code, out, _ = verify_doc(tmp_path, capsys, bad)
+        assert (code, out) == (1, f"max |residual coefficient|: 0\nFAIL: {failure}\n")
 
 
 def test_linkage_json(tmp_path, capsys):
@@ -492,6 +505,58 @@ def test_verify_type_refuses_flags_it_would_ignore(capsys, flags, error):
     assert [line for line in err.splitlines() if "error:" in line] == [f"darboux7r: error: {error}"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("factor", "--type", "FI", "--x", "3", "--y=-5"), "factor --type FI does not use --x, --y"),
+        (("factor", "--type", "FIV", "--x", "3"), "factor --type FIV does not use --x"),
+        (("verify", "--type", "FII", "--y", "3"), "verify --type FII does not use --y"),
+        (("verify", "--type", "FIV", "--a", "3"), "verify --type FIV does not use --a"),
+        (("linkage", "--type", "FIV", "--a", "5"), "linkage --type FIV does not use --a"),
+        (("simulate", "--type", "FIV", "--b", "7"), "simulate --type FIV does not use --b"),
+        (("mobility", "--type", "FI+FII", "--x", "1"), "mobility --type FI+FII does not use --x"),
+        (("trace", "--type", "FI+FII", "--y", "1"), "trace --type FI+FII does not use --y"),
+        (("plot", "--type", "FIV", "--c", "1"), "plot --type FIV does not use --c"),
+    ],
+)
+def test_parameter_flags_the_type_does_not_use_exit_two(capsys, argv, error):
+    code, out, err = run_exiting(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [f"darboux7r: error: {error}"]
+
+
+EXACT_LANE_SCRIPT = """
+import sys
+import darboux7r, darboux7r.cli
+from darboux7r.cli import main
+
+def numpy_modules():
+    return [name for name in sys.modules if name.startswith("numpy.")]
+
+path = sys.argv[1]
+for kind in ("FI", "FII", "FIII", "FIV"):
+    main(["factor", "--type", kind, "--out", path])
+    main(["verify", "--type", kind])
+main(["verify", "--type", "FIII", "--random", "2"])
+main(["verify", "--from-file", path])
+print(numpy_modules())
+main(["simulate", "--type", "FIV", "--samples", "3", "--out", path])
+print(bool(numpy_modules()))
+"""
+
+
+def test_exact_lane_loads_no_numpy(tmp_path):
+    # factor and verify run on int and Fraction alone; numpy loads with the
+    # first float-lane command.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(darboux7r.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", EXACT_LANE_SCRIPT, str(tmp_path / "f.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-2:] == ["[]", "True"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "mobility", "trace", "plot", "linkage"])
 def test_parameter_beyond_float_range_exits_two(capsys, command):
     code, out, err = run(capsys, command, "--a", "1e400")
@@ -547,8 +612,8 @@ def test_exact_values_with_too_many_digits_exit_two(capsys):
         f"error: an exact value of about 1e+5000 has more digits than the {limit} "
         "that can be written\n"
     )
-    for kind in ("FI", "FIII"):
-        code, out, _ = run(capsys, "verify", "--type", kind, "--a", "1e5000", "--x", "1/3")
+    for kind, free in (("FI", ()), ("FIII", ("--x", "1/3"))):
+        code, out, _ = run(capsys, "verify", "--type", kind, "--a", "1e5000", *free)
         assert code == 0
         assert out.splitlines() == [
             "max |residual coefficient|: 0",

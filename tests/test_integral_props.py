@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from darboux7r import DarbouxParams, DualQuaternion, MotionPoly, SingularChoice  # noqa: E402
-from darboux7r.cli import FAMILIES  # noqa: E402
+from darboux7r.cli import FAMILIES, build_family  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion  # noqa: E402
 from darboux7r.motionpoly import factorization_residual, poly_product  # noqa: E402
 from darboux7r.scalars import is_exact  # noqa: E402
@@ -128,7 +128,9 @@ def edited_factorizations(draw):
     kind = draw(st.sampled_from(tuple(FAMILIES)))
     p = draw(params)
     try:
-        f = FAMILIES[kind](p.a, p.b, p.c, draw(rationals), draw(rationals))
+        f = build_family(
+            FAMILIES[kind], dict(a=p.a, b=p.b, c=p.c, x=draw(rationals), y=draw(rationals))
+        )
     except SingularChoice:
         assume(False)
     factors = list(f.factors)

@@ -33,7 +33,7 @@ from darboux7r import (
     trace_point,
     transform_axis,
 )
-from darboux7r.cli import LOOPS, PAIR_TYPES
+from darboux7r.cli import LOOPS, PAIR_TYPES, build_family
 from darboux7r.conics import ConicClass
 from darboux7r.errors import ClosureFailure, KinematicsError
 from darboux7r.dualquat import DQ_ONE
@@ -257,7 +257,8 @@ def test_axes_at_is_the_two_point_transport_exactly(kind, values, t):
     # which maps two points of the reference axis, stays the reference.
     assume(values[0] != 0)
     try:
-        loop = build_linkage(*(build(*values) for build in LOOPS[kind]))
+        values = dict(zip("abcxy", values))
+        loop = build_linkage(*(build_family(family, values) for family in LOOPS[kind]))
     except SingularChoice:
         assume(False)
     poses = {"A": chain_poses(loop.chain_a, t), "B": chain_poses(loop.chain_b, t)}

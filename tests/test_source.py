@@ -74,6 +74,19 @@ def test_algebra_layer_imports_no_upper_layer():
     assert found == []
 
 
+def test_only_the_numpy_handle_imports_numpy():
+    # _numpy.py decides when numpy loads; a module that imported it itself
+    # would load it with the package, on the exact lane too.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "_numpy.py"
+        for line, name in imported_names(path)
+        if name.split(".")[0] == "numpy"
+    ]
+    assert found == []
+
+
 MAX_DEFAULTED_PARAMETERS = 12
 
 
