@@ -233,6 +233,8 @@ def _flag_conflict(args) -> Optional[str]:
             return "verify needs --type or --from-file"
         if args.type is not None and args.from_file is not None:
             return "verify takes --type or --from-file, not both"
+        if args.type == "FIV" and args.random is not None:
+            return "verify --type FIV is one fixed instance and does not take --random"
         source = "--from-file" if args.from_file is not None else "--random" if args.random is not None else None
         if source is not None and given:
             flags = ", ".join(f"--{name}" for name in given)

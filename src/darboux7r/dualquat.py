@@ -11,18 +11,32 @@ Coefficients are either exact rationals (int / Fraction) or floats; all
 formulas are polynomial except for a few divisions routed through
 scalars.sdiv, so both backends share the code.
 
-The float64 array kernel at the end of the module (dq_mul_many,
-act_many, conjugate_many; motionpoly.poses_many builds on it)
-evaluates many parameter values at once.  It repeats the scalar formulas
-operation by operation on (..., 8) arrays, so it gives the scalar float
-lane's values bit for bit (a NaN's sign aside, which IEEE 754 leaves
-open), and it keeps the preconditions of act.
+Values are stored flat: a Quaternion is the tuple (w, x, y, z) and a
+DualQuaternion the tuple of its eight coefficients [h0..h7], primal then
+dual.  A tuple is immutable and hashable, and a result is one allocation
+with no per-field __setattr__, so the exact lane's many small products
+stay cheap.  The tuple behaviours a value must not have are guarded:
+sums check their operands' lengths, and the constructors check 4 + 4
+coefficients.  A numpy scalar on the left of a value would broadcast
+over its coefficients, so scaling goes through scale() or a Python
+scalar.  .p, .d and .w/.x/.y/.z read the parts.
+
+One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
+quaternion products inside DualQuaternion.__mul__.  The float64 array
+kernel at the end of the module (dq_mul_many, act_many,
+conjugate_many; motionpoly.poses_many builds on it) evaluates many
+parameter values at once.  It repeats the scalar formulas operation by
+operation on (..., 8) arrays, _qmul adding its terms in _hamilton's
+order, so it gives the scalar float lane's values bit for bit (a NaN's
+sign aside, which IEEE 754 leaves open), and it keeps the preconditions
+of act.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence, Tuple
 
 from ._numpy import np
@@ -52,72 +66,47 @@ def viszero(u: Vec3) -> bool:
     return u[0] == 0 and u[1] == 0 and u[2] == 0
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion w + x*i + y*j + z*k with i^2 = j^2 = k^2 = ijk = -1."""
+def _dot4(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+    """Euclidean inner product of coefficient 4-vectors."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
-    w: Scalar
-    x: Scalar
-    y: Scalar
-    z: Scalar
 
-    @property
-    def vector(self) -> Vec3:
-        return (self.x, self.y, self.z)
+def _hamilton(a: Sequence[Scalar], b: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+    """Hamilton product of coefficient 4-tuples (w, x, y, z).
 
-    def is_zero(self) -> bool:
-        return self.w == 0 and self.x == 0 and self.y == 0 and self.z == 0
+    The terms are added in the order of the array kernel's _qmul, so on
+    floats the two agree bit for bit.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def norm(self) -> Scalar:
-        """Quaternion norm q * conj(q), the sum of squared coefficients."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+# tuple.__new__ on a class skips that class's __new__ and its checks.
+_tuple = tuple.__new__
 
-    def dot(self, other: "Quaternion") -> Scalar:
-        """Euclidean inner product of the coefficient 4-vectors."""
-        return (
-            self.w * other.w
-            + self.x * other.x
-            + self.y * other.y
-            + self.z * other.z
-        )
 
-    def scale(self, s: Scalar) -> "Quaternion":
-        return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
+class _Coeffs(tuple):
+    """Coefficient tuple with the linear operations of its subclasses."""
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
-        )
+    __slots__ = ()
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z
-        )
+    def scale(self, s: Scalar):
+        return _tuple(type(self), [c * s for c in self])
 
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+    def __add__(self, other):
+        return _tuple(type(self), [a + b for a, b in zip(self, other, strict=True)])
 
-    def __mul__(self, other):
-        """Hamilton product, or scaling by a scalar.
+    def __sub__(self, other):
+        return _tuple(type(self), [a - b for a, b in zip(self, other, strict=True)])
 
-        The terms are added in the order of the array kernel's _qmul, so
-        on floats the two agree bit for bit.
-        """
-        if isinstance(other, Quaternion):
-            aw, ax, ay, az = self.w, self.x, self.y, self.z
-            bw, bx, by, bz = other.w, other.x, other.y, other.z
-            return Quaternion(
-                aw * bw - ax * bx - ay * by - az * bz,
-                aw * bx + ax * bw + ay * bz - az * by,
-                aw * by - ax * bz + ay * bw + az * bx,
-                aw * bz + ax * by - ay * bx + az * bw,
-            )
-        if isinstance(other, (int, float)) or is_exact(other):
-            return self.scale(other)
-        return NotImplemented
+    def __neg__(self):
+        return _tuple(type(self), [-c for c in self])
 
     def __rmul__(self, other):
         # Scalars are central, so left and right scaling agree.
@@ -126,12 +115,46 @@ class Quaternion:
         return NotImplemented
 
     def is_float(self) -> bool:
-        return not (
-            is_exact(self.w) and is_exact(self.x) and is_exact(self.y) and is_exact(self.z)
-        )
+        return not all(map(is_exact, self))
 
-    def to_float(self) -> "Quaternion":
-        return Quaternion(float(self.w), float(self.x), float(self.y), float(self.z))
+    def to_float(self):
+        return _tuple(type(self), [float(c) for c in self])
+
+
+class Quaternion(_Coeffs):
+    """Quaternion w + x*i + y*j + z*k with i^2 = j^2 = k^2 = ijk = -1, the tuple (w, x, y, z)."""
+
+    __slots__ = ()
+    w, x, y, z = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, w: Scalar, x: Scalar, y: Scalar, z: Scalar) -> "Quaternion":
+        return _tuple(cls, (w, x, y, z))
+
+    def __repr__(self) -> str:
+        return "Quaternion(w={!r}, x={!r}, y={!r}, z={!r})".format(*self)
+
+    @property
+    def vector(self) -> Vec3:
+        return self[1:]
+
+    def is_zero(self) -> bool:
+        return self == (0, 0, 0, 0)
+
+    def conj(self) -> "Quaternion":
+        w, x, y, z = self
+        return _tuple(Quaternion, (w, -x, -y, -z))
+
+    def norm(self) -> Scalar:
+        """Quaternion norm q * conj(q), the sum of squared coefficients."""
+        return _dot4(self, self)
+
+    dot = _dot4
+
+    def __mul__(self, other):
+        """Hamilton product (_hamilton), or scaling by a scalar."""
+        if isinstance(other, Quaternion):
+            return _tuple(Quaternion, _hamilton(self, other))
+        return self.__rmul__(other)
 
 
 Q_ZERO = Quaternion(0, 0, 0, 0)
@@ -147,40 +170,50 @@ class DisplacementKind(Enum):
     NON_DISPLACEMENT = "NonDisplacement"
 
 
-@dataclass(frozen=True)
-class DualQuaternion:
-    """Dual quaternion p + eps*d over exact rational or float scalars."""
+class DualQuaternion(_Coeffs):
+    """Dual quaternion p + eps*d over exact rational or float scalars.
 
-    p: Quaternion
-    d: Quaternion
+    The tuple of its eight coefficients [h0..h7], primal then dual.
+    """
+
+    __slots__ = ()
+    p = property(lambda self: _tuple(Quaternion, self[:4]), doc="Primal part.")
+    d = property(lambda self: _tuple(Quaternion, self[4:]), doc="Dual part.")
+
+    def __new__(cls, p: Sequence[Scalar], d: Sequence[Scalar]) -> "DualQuaternion":
+        if len(p) != 4 or len(d) != 4:
+            raise ValueError("expected a primal and a dual part of four coefficients each")
+        return _tuple(cls, (*p, *d))
+
+    def __repr__(self) -> str:
+        return f"DualQuaternion(p={self.p!r}, d={self.d!r})"
 
     @classmethod
     def from_coeffs(cls, h: Sequence[Scalar]) -> "DualQuaternion":
         """Build from the eight coefficients [h0..h7], primal then dual."""
         if len(h) != 8:
             raise ValueError("expected eight coefficients")
-        return cls(Quaternion(h[0], h[1], h[2], h[3]), Quaternion(h[4], h[5], h[6], h[7]))
+        return _tuple(cls, h)
 
     @classmethod
     def from_scalar(cls, s: Scalar) -> "DualQuaternion":
-        return cls(Quaternion(s, 0, 0, 0), Q_ZERO)
+        return _tuple(cls, (s, 0, 0, 0, 0, 0, 0, 0))
 
     def coeffs(self) -> Tuple[Scalar, ...]:
-        p, d = self.p, self.d
-        return (p.w, p.x, p.y, p.z, d.w, d.x, d.y, d.z)
+        return tuple(self)
 
     def is_zero(self) -> bool:
-        return self.p.is_zero() and self.d.is_zero()
+        return self == (0,) * 8
 
     def conj(self) -> "DualQuaternion":
-        return DualQuaternion(self.p.conj(), self.d.conj())
+        h0, h1, h2, h3, h4, h5, h6, h7 = self
+        return _tuple(DualQuaternion, (h0, -h1, -h2, -h3, h4, -h5, -h6, -h7))
 
     def norm(self) -> Tuple[Scalar, Scalar]:
         """Dual number h * conj(h) as a pair (real part, dual part)."""
-        n0 = self.p.norm()
+        p, d = self[:4], self[4:]
         # p*conj(d) + d*conj(p) collapses to twice the 4-vector inner product.
-        n1 = 2 * self.p.dot(self.d)
-        return (n0, n1)
+        return (_dot4(p, p), 2 * _dot4(p, d))
 
     def has_real_norm(self) -> bool:
         n0, n1 = self.norm()
@@ -188,35 +221,19 @@ class DualQuaternion:
             return n1 == 0
         return abs(n1) <= _FLOAT_REAL_NORM_RTOL * max(1.0, abs(n0))
 
-    def scale(self, s: Scalar) -> "DualQuaternion":
-        return DualQuaternion(self.p.scale(s), self.d.scale(s))
-
-    def __add__(self, other: "DualQuaternion") -> "DualQuaternion":
-        return DualQuaternion(self.p + other.p, self.d + other.d)
-
-    def __sub__(self, other: "DualQuaternion") -> "DualQuaternion":
-        return DualQuaternion(self.p - other.p, self.d - other.d)
-
-    def __neg__(self) -> "DualQuaternion":
-        return DualQuaternion(-self.p, -self.d)
-
     def __mul__(self, other):
         if isinstance(other, DualQuaternion):
             # eps^2 = 0: (p1 + eps d1)(p2 + eps d2) = p1 p2 + eps(p1 d2 + d1 p2)
-            return DualQuaternion(
-                self.p * other.p, self.p * other.d + self.d * other.p
+            p1, d1, p2, d2 = self[:4], self[4:], other[:4], other[4:]
+            a, b = _hamilton(p1, d2), _hamilton(d1, p2)
+            return _tuple(
+                DualQuaternion,
+                _hamilton(p1, p2) + (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]),
             )
-        if isinstance(other, (int, float)) or is_exact(other):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)) or is_exact(other):
-            return self.scale(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def invertible(self) -> bool:
-        return not self.p.is_zero()
+        return self[:4] != (0, 0, 0, 0)
 
     def inverse(self) -> "DualQuaternion":
         """Inverse conj(h) / Norm(h); requires a nonzero primal part."""
@@ -279,12 +296,6 @@ class DualQuaternion:
             raise NotARotation("axis is defined for rotation quaternions only")
         h = self.coeffs()
         return AxisLine((h[1], h[2], h[3]), (-h[5], -h[6], -h[7]))
-
-    def is_float(self) -> bool:
-        return self.p.is_float() or self.d.is_float()
-
-    def to_float(self) -> "DualQuaternion":
-        return DualQuaternion(self.p.to_float(), self.d.to_float())
 
 
 DQ_ONE = DualQuaternion(Q_ONE, Q_ZERO)

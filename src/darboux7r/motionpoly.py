@@ -40,15 +40,9 @@ from .scalars import Scalar, is_exact, sdiv
 
 def _trim(coeffs: Sequence) -> Tuple:
     n = len(coeffs)
-    while n > 0 and _is_zero_coeff(coeffs[n - 1]):
+    while n > 0 and coeffs[n - 1].is_zero():
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, DualQuaternion):
-        return c.is_zero()
-    return c == 0
 
 
 @dataclass(frozen=True)

@@ -491,15 +491,19 @@ def test_verify_from_file_refuses_conflicting_flags(tmp_path, capsys, flags, err
     "flags, error",
     [
         (
-            ("--random", "2", "--b=-1/2", "--y", "1"),
+            ("--type", "FI", "--random", "2", "--b=-1/2", "--y", "1"),
             "verify --random sets its own parameters and does not take --b, --y",
         ),
-        (("--seed", "4"), "verify --seed needs --random"),
+        (("--type", "FI", "--seed", "4"), "verify --seed needs --random"),
+        (
+            ("--type", "FIV", "--random", "3"),
+            "verify --type FIV is one fixed instance and does not take --random",
+        ),
     ],
-    ids=["params", "seed"],
+    ids=["params", "seed", "fiv-random"],
 )
 def test_verify_type_refuses_flags_it_would_ignore(capsys, flags, error):
-    code, out, err = run_exiting(capsys, "verify", "--type", "FI", *flags)
+    code, out, err = run_exiting(capsys, "verify", *flags)
     assert code == 2
     assert out == ""
     assert [line for line in err.splitlines() if "error:" in line] == [f"darboux7r: error: {error}"]

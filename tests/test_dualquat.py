@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from darboux7r import (
     projectively_equal,
     transform_axis,
 )
-from darboux7r.dualquat import DQ_ONE, Quaternion, ray_gap
+from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion, ray_gap
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
@@ -245,3 +246,60 @@ def test_inverse():
             continue
         assert h * h.inverse() == ONE
         assert h.inverse() * h == ONE
+
+
+# Value semantics: a dual quaternion is an immutable tuple of its eight
+# coefficients, and the tuple behaviours that a value type must not have
+# are guarded.
+
+
+def test_values_are_immutable():
+    h = dq(1, 2, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(AttributeError):
+        h.p = Q_ZERO
+    with pytest.raises(AttributeError):
+        h.p.w = 5
+    with pytest.raises(TypeError):
+        h[0] = 5
+    assert h == dq(1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_parts_round_trip_and_coeffs_is_a_plain_tuple():
+    p = Quaternion(1, Fraction(1, 2), -3, 0)
+    d = Quaternion(0, 2, 0, Fraction(-5, 7))
+    h = DualQuaternion(p, d)
+    assert h.p == p and h.d == d
+    assert type(h.p) is Quaternion and type(h.d) is Quaternion
+    assert type(h.coeffs()) is tuple
+    assert h.coeffs() == (1, Fraction(1, 2), -3, 0, 0, 2, 0, Fraction(-5, 7))
+
+
+def test_wrong_coefficient_counts_raise():
+    with pytest.raises(ValueError):
+        DualQuaternion.from_coeffs([1] * 7)
+    with pytest.raises(ValueError):
+        DualQuaternion((1, 2, 3), Q_ZERO)
+    # A sum never truncates to the shorter operand.
+    with pytest.raises(ValueError):
+        dq(h0=1, h7=2) + Quaternion(1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        Quaternion(1, 0, 0, 0) - dq(h0=1, h7=2)
+
+
+def test_repr_names_the_parts():
+    assert repr(dq(1, Fraction(1, 2), h7=-3)) == (
+        "DualQuaternion(p=Quaternion(w=1, x=Fraction(1, 2), y=0, z=0), "
+        "d=Quaternion(w=0, x=0, y=0, z=-3))"
+    )
+
+
+def test_equal_exact_values_hash_equal():
+    a, b = dq(Fraction(2), Fraction(1, 2)), dq(2, Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_zero_test_counts_signed_zero_and_not_nan():
+    assert dq(-0.0, h6=-0.0).is_zero()
+    assert not dq(math.nan).is_zero()
+    assert Quaternion(0.0, -0.0, 0, 0).is_zero()

@@ -91,6 +91,19 @@ def test_float_quaternion_product_is_the_kernel_product_bit_for_bit(a, b):
     assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(float_dual_quaternions, float_dual_quaternions)
+def test_float_dual_quaternion_product_is_the_kernel_product_bit_for_bit(a, b):
+    # The scalar product and dq_mul_many share _qmul's term order, so signed
+    # zeros, infinities and NaNs come out alike.
+    scalar = row(a * b)
+    with np.errstate(all="ignore"):
+        batched = dq_mul_many(row(a), row(b))
+    assert np.array_equal(scalar, batched, equal_nan=True)
+    numbers = ~np.isnan(scalar)
+    assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(dual_quaternions, min_size=1, max_size=4),
        st.lists(dual_quaternions, min_size=1, max_size=4))
