@@ -8,7 +8,9 @@ chosen --type does not use is a usage error.
 
 factor and verify stay on the exact lane and never load numpy; main runs
 the float-lane commands (linkage, simulate, trace, mobility, plot) under
-numpy.errstate(over="raise"), so a float64 overflow exits 2.
+numpy.errstate(over="raise"), so a float64 overflow exits 2.  trace
+decides each orbit exactly; its samples only measure the float lane's
+gap to it.
 
 build_parser makes the argparse tree on its first call, from main, and
 returns that same parser to every later call in the process.
@@ -286,10 +288,10 @@ def _tol(args) -> float:
 
 
 def cmd_trace(args) -> int:
-    ts, tol = _sample_ts(args), _tol(args)
+    ts = _sample_ts(args)
     linkage = _build_linkage(args)
     points = args.point or [(0.0, 0.0, 0.0)]
-    reports = [trace_point(linkage, pt, ts, plane_rtol=tol) for pt in points]
+    reports = [trace_point(linkage, pt, ts) for pt in points]
     docs = [serialize.trajectory_to_json(r) for r in reports]
     _emit(serialize.dump_json(docs[0] if len(docs) == 1 else docs), args.out)
     return 0
@@ -369,12 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ["csv", "json"])
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("trace", help="classify the orbit of a coupler point")
+    p = sub.add_parser("trace", help="the exact conic orbit of a coupler point")
     p.add_argument("--type", choices=PAIR_TYPES, default="FI+FIII")
     _add_param_flags(p)
     _add_sampling_flags(p, default_samples=24)
     p.add_argument("--point", type=_point3, action="append", default=None, metavar="X,Y,Z")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative plane-fit tolerance")
     _add_output_flags(p, ["json"])
     p.set_defaults(func=cmd_trace)
 

@@ -1,181 +1,122 @@
-"""Plane fitting, conic fitting, and trajectory classification (float lane).
+"""Exact coupler trajectories: the orbit of a point as M + U cos(phi) + V sin(phi).
 
-A sampled space curve is first fit with a total-least-squares plane
-(SVD of the centered samples), projected into that plane, and then fit
-with a general conic A x^2 + B xy + C y^2 + D x + E y + F = 0 by taking
-the smallest right singular vector of the design matrix.  Conic type
-comes from the sign of B^2 - 4AC and the rank of the conic matrix; an
-ellipse whose semi-axis ratio is within CIRCLE_RTOL of 1 counts as a
-circle.
+A point x moves under a motion polynomial P on Y(t) = P*(1 - eps*x)*P~,
+where P~ negates h1..h4 of each coefficient of P: the primal part of Y
+is the norm polynomial n0 of P, and the dual part is -n0 times the image
+of x.  Y is formed on integral forms and divided by t^2 + 1, down to
+degree 2, while the remainder is exactly zero.  For the Darboux motion
+(n0 = (t^2 + 1)^3) every point reduces to (A0 + A1 t + A2 t^2)/(1 + t^2);
+with t = tan(phi/2) that is M + U cos(phi) + V sin(phi), where
+M = (A0 + A2)/2, U = (A0 - A2)/2 and V = A1/2.  The class follows with
+zero tolerance: an ellipse when U x V != 0, a circle when also
+(U.V, |U|^2 - |V|^2) = (0, 0), a doubly covered segment when U x V = 0
+but U or V is nonzero, and a fixed point when U = V = 0.  Y is affine in
+x, so the orbits of four affinely independent points decide every orbit.
+
+The float lane's orbit samples (what svgplot draws) are taken first, so
+float-range errors surface as they do for the other sampling commands,
+and their largest distance from the exact conic is reported.
+
+trace_fit keeps its module and name because the benchmark tracer
+(bench/tracer.py) wraps conics.trace_fit and linkage.trace_point by
+name, until ROADMAP item 1 moves its targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
-from .errors import InsufficientSamples
-
-# Defaults chosen so that an exactly planar, exactly conic float orbit
-# classifies robustly: residuals are relative to the orbit diameter.
-PLANE_RTOL = 1e-9
-CIRCLE_RTOL = 1e-6
-DEGENERATE_RTOL = 1e-12
+from .dualquat import DualQuaternion, Vec3, vcross, vdot, viszero
+from .errors import KinematicsError
+from .motionpoly import MotionPoly, integral_product, t_squared_plus_one
+from .scalars import Scalar
 
 
 class ConicClass(Enum):
     CIRCLE = "Circle"
     ELLIPSE = "Ellipse"
-    PARABOLA = "Parabola"
-    HYPERBOLA = "Hyperbola"
-    DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class PlaneFit:
-    centroid: Tuple[float, float, float]
-    normal: Tuple[float, float, float]
-    basis_u: Tuple[float, float, float]
-    basis_v: Tuple[float, float, float]
-    residual: float  # max out-of-plane distance
-
-
-@dataclass(frozen=True)
-class ConicFit:
-    coeffs: Tuple[float, float, float, float, float, float]
-    kind: ConicClass
-    semi_major: Optional[float]
-    semi_minor: Optional[float]
-    center: Optional[Tuple[float, float]]
+    DEGENERATE = "Degenerate"  # a doubly covered segment or a fixed point
 
 
 @dataclass(frozen=True)
 class TrajectoryReport:
+    """Exact orbit M + U cos(phi) + V sin(phi) of a point (mean, cos, sin) and its class.
+
+    normal is the orbit plane's unit normal, None for a segment or a fixed
+    point; semi_axes (major, minor) is given for an ellipse or a circle
+    only.  float_gap is the largest distance between the float lane's
+    orbit at the n_samples parameter values and the exact conic there.
+    """
+
+    point: Tuple[float, float, float]
     n_samples: int
-    diameter: float
-    plane: Optional[PlaneFit]
-    plane_ok: bool
-    conic: Optional[ConicFit]
+    float_gap: float
     conic_class: ConicClass
-    point: Optional[Tuple[float, float, float]] = None
-
-    @property
-    def plane_residual(self) -> float:
-        return self.plane.residual if self.plane is not None else 0.0
-
-
-def fit_plane(points: np.ndarray) -> PlaneFit:
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 3:
-        raise InsufficientSamples("plane fit needs at least three samples")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[-1]
-    residual = float(np.max(np.abs(centered @ normal)))
-    return PlaneFit(
-        tuple(centroid), tuple(normal), tuple(vt[0]), tuple(vt[1]), residual
-    )
+    mean: Vec3
+    cos: Vec3
+    sin: Vec3
+    normal: Optional[Tuple[float, ...]]
+    semi_axes: Optional[Tuple[float, float]]
 
 
-def fit_conic(xy: np.ndarray) -> np.ndarray:
-    """Least-squares general conic through 2D samples; returns [A,B,C,D,E,F]."""
-    pts = np.asarray(xy, dtype=float)
-    if pts.shape[0] < 6:
-        raise InsufficientSamples("conic fit needs at least six samples")
-    # Center and scale for conditioning; coefficients are mapped back below.
-    mean = pts.mean(axis=0)
-    scale = float(np.sqrt(((pts - mean) ** 2).sum(axis=1).mean()))
-    if scale == 0:
-        raise InsufficientSamples("conic fit needs spread-out samples")
-    q = (pts - mean) / scale
-    x, y = q[:, 0], q[:, 1]
-    design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
-    _, _, vt = np.linalg.svd(design, full_matrices=False)
-    a, b, c, d, e, f = vt[-1]
-    # Undo the normalization u = (X - mx)/s, v = (Y - my)/s.
-    s = scale
-    mx, my = mean
-    coeffs = np.array(
-        [
-            a / s**2,
-            b / s**2,
-            c / s**2,
-            d / s - (2 * a * mx + b * my) / s**2,
-            e / s - (2 * c * my + b * mx) / s**2,
-            f
-            + (a * mx * mx + b * mx * my + c * my * my) / s**2
-            - (d * mx + e * my) / s,
-        ]
-    )
-    n = np.linalg.norm(coeffs)
-    return coeffs / n if n > 0 else coeffs
+def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, Vec3]:
+    """Exact (M, U, V) with the orbit of point under poly M + U cos(phi) + V sin(phi).
 
-
-def classify_conic(coeffs: Sequence[float]) -> ConicFit:
-    a, b, c, d, e, f = (float(v) for v in coeffs)
-    norm = np.linalg.norm([a, b, c, d, e, f])
-    if norm == 0:
-        return ConicFit((a, b, c, d, e, f), ConicClass.DEGENERATE, None, None, None)
-    a, b, c, d, e, f = (v / norm for v in (a, b, c, d, e, f))
-    m33 = np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]])
-    det33 = float(np.linalg.det(m33))
-    disc = b * b - 4 * a * c
-    if abs(det33) <= DEGENERATE_RTOL:
-        return ConicFit((a, b, c, d, e, f), ConicClass.DEGENERATE, None, None, None)
-    if abs(disc) <= DEGENERATE_RTOL:
-        return ConicFit((a, b, c, d, e, f), ConicClass.PARABOLA, None, None, None)
-    if disc > 0:
-        return ConicFit((a, b, c, d, e, f), ConicClass.HYPERBOLA, None, None, None)
-    det22 = a * c - b * b / 4
-    cx, cy = np.linalg.solve([[a, b / 2], [b / 2, c]], [-d / 2, -e / 2])
-    lams = np.linalg.eigvalsh([[a, b / 2], [b / 2, c]])
-    vals = [-det33 / (det22 * lam) for lam in lams]
-    if min(vals) <= 0:
-        # Imaginary ellipse; cannot happen for a fit through real samples.
-        return ConicFit((a, b, c, d, e, f), ConicClass.DEGENERATE, None, None, None)
-    axes = sorted((float(np.sqrt(v)) for v in vals), reverse=True)
-    kind = ConicClass.ELLIPSE
-    if axes[1] > 0 and axes[0] / axes[1] - 1 <= CIRCLE_RTOL:
-        kind = ConicClass.CIRCLE
-    return ConicFit(
-        (a, b, c, d, e, f), kind, axes[0], axes[1], (float(cx), float(cy))
-    )
-
-
-def trace_fit(
-    points: Sequence[Sequence[float]],
-    plane_rtol: float = PLANE_RTOL,
-    moving_point: Optional[Tuple[float, float, float]] = None,
-) -> TrajectoryReport:
-    """Classify a sampled trajectory: plane fit, then in-plane conic fit."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n < 6:
-        raise InsufficientSamples("trajectory classification needs at least six samples")
-    centroid = pts.mean(axis=0)
-    spread = np.linalg.norm(pts - centroid, axis=1)
-    diameter = 2 * float(spread.max())
-    # A fixed point orbits in a cloud of rounding noise; judge "no motion"
-    # against the coordinate magnitude, not against exact zero.
-    if diameter <= 1e-12 * (1.0 + float(np.linalg.norm(centroid))):
-        return TrajectoryReport(
-            n, diameter, None, True, None, ConicClass.DEGENERATE, moving_point
+    A float coordinate or coefficient is taken as the binary rational it
+    is.  Raises KinematicsError when the orbit does not reduce to a
+    quadratic over t^2 + 1, naming the degree it reduces to.
+    """
+    x, y, z = (Fraction(v) for v in point)
+    coeffs = [[Fraction(v) for v in h] for h in poly.coeffs]
+    moved = DualQuaternion.from_coeffs((1, 0, 0, 0, 0, -x, -y, -z))
+    tilde = [(h[0], -h[1], -h[2], -h[3], -h[4], h[5], h[6], h[7]) for h in coeffs]
+    orbit, _ = integral_product([
+        MotionPoly(tuple(map(DualQuaternion.from_coeffs, coeffs))),
+        MotionPoly.constant(moved),
+        MotionPoly(tuple(map(DualQuaternion.from_coeffs, tilde))),
+    ])
+    while orbit.degree > 2:
+        quot, rem = orbit.divmod_right(t_squared_plus_one())
+        if not rem.is_zero():
+            break
+        orbit = quot
+    alpha = orbit.coeff(0).p.w
+    primal = [orbit.coeff(k).p for k in range(3)]  # must be alpha * (1 + t^2)
+    if orbit.degree != 2 or alpha == 0 or primal != [(alpha, 0, 0, 0), (0,) * 4, (alpha, 0, 0, 0)]:
+        raise KinematicsError(
+            f"the orbit does not reduce to a conic over t^2 + 1: reduced degree {orbit.degree}"
         )
-    plane = fit_plane(pts)
-    plane_ok = plane.residual <= plane_rtol * diameter
-    centered = pts - np.asarray(plane.centroid)
-    uv = np.column_stack(
-        [centered @ np.asarray(plane.basis_u), centered @ np.asarray(plane.basis_v)]
+    a0, a1, a2 = (orbit.coeff(k).d.vector for k in range(3))
+    den = -2 * alpha  # A_k = -a_k / alpha
+    return (
+        tuple(Fraction(p + q, den) for p, q in zip(a0, a2)),
+        tuple(Fraction(p - q, den) for p, q in zip(a0, a2)),
+        tuple(Fraction(p, den) for p in a1),
     )
-    # Collinear samples have no spread along the second in-plane direction.
-    if float(np.abs(uv[:, 1]).max()) <= 1e-12 * diameter:
-        return TrajectoryReport(
-            n, diameter, plane, plane_ok, None, ConicClass.DEGENERATE, moving_point
-        )
-    conic = classify_conic(fit_conic(uv))
+
+
+def trace_fit(poly: MotionPoly, point: Sequence[Scalar], ts: Sequence[float]) -> TrajectoryReport:
+    """The exact orbit of point under poly, classified, and its gap to the float orbit at ts."""
+    samples = poly.orbit(point, ts)
+    mean, u, v = conic_orbit(poly, point)
+    phi = 2 * np.arctan(np.asarray(ts, dtype=float))[:, None]
+    fm, fu, fv = np.array([[float(c) for c in vec] for vec in (mean, u, v)])
+    conic = fm + np.cos(phi) * fu + np.sin(phi) * fv
+    gap = float(np.hypot.reduce(samples - conic, axis=1).max(initial=0.0))
+    if viszero(vcross(u, v)):
+        kind, normal, semi_axes = ConicClass.DEGENERATE, None, None
+    else:
+        circle = vdot(u, v) == 0 and vdot(u, u) == vdot(v, v)
+        kind = ConicClass.CIRCLE if circle else ConicClass.ELLIPSE
+        # The semi-axes are the singular values of [U V], the square roots of
+        # the eigenvalues of its Gram matrix; the third left singular vector
+        # is the plane's unit normal.
+        left, axes, _ = np.linalg.svd(np.column_stack((fu, fv)))
+        normal, semi_axes = tuple(left[:, 2].tolist()), tuple(axes.tolist())
     return TrajectoryReport(
-        n, diameter, plane, plane_ok, conic, conic.kind, moving_point
+        tuple(float(c) for c in point), len(samples), gap, kind, mean, u, v, normal, semi_axes
     )

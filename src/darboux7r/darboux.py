@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .dualquat import (
     DQ_ONE,
@@ -90,20 +90,6 @@ def darboux_c0(p: DarbouxParams) -> MotionPoly:
     C0 = (k + c eps) t^3 + (1 + eps(b - a i - c k)) t^2 + (k - eps(a j + b k)) t + 1
     """
     return MotionPoly.constant(frame_change(p)) * darboux_c(p)
-
-
-def darboux_point_path(
-    p: DarbouxParams, point: Sequence[Scalar], phi: float
-) -> Tuple[float, float, float]:
-    """Evaluate the parametric equations at angle phi (float lane)."""
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    x, y, z = (float(v) for v in point)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return (
-        x * cp - y * sp,
-        x * sp + y * cp + a * sp,
-        z + b * sp + c * (1 - cp),
-    )
 
 
 # Factor count and doubled-factor pairs of each family: FI has three

@@ -49,10 +49,6 @@ class NotRotational(KinematicsError):
     """Linkage synthesis needs every linear factor to have a rotation root."""
 
 
-class InsufficientSamples(KinematicsError):
-    """Too few samples for a stable plane or conic fit."""
-
-
 class MalformedInput(KinematicsError):
     """An input file is not JSON, misses a field, or holds a field of the wrong type.
 

@@ -16,10 +16,12 @@ exact home axes (t = 0), which only the linkage JSON and the
 parallel-group and Sarrus analysis read, are computed on first use.
 
 Two lanes evaluate them: chain_poses and axes_at take one exact (or
-float) parameter through the scalar algebra, while simulate, mobility
-and trace sample float64 arrays of parameters through the batched kernel
+float) parameter through the scalar algebra, while simulate and mobility
+sample float64 arrays of parameters through the batched kernel
 (motionpoly.poses_many, dualquat.conjugate_many).
 Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P).
+trace_point decides a coupler point's orbit exactly, for all t at once
+(conics.trace_fit).
 """
 
 from __future__ import annotations
@@ -376,15 +378,12 @@ def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
 
 
 def trace_point(
-    source: Union[Linkage, MotionPoly],
-    point: Sequence[Scalar],
-    ts: Sequence[float],
-    plane_rtol: float = conics.PLANE_RTOL,
+    source: Union[Linkage, MotionPoly], point: Sequence[Scalar], ts: Sequence[float]
 ) -> conics.TrajectoryReport:
-    """Classify the sampled orbit of a point under a MotionPoly or a Linkage's coupler."""
+    """The exact orbit of a point under a MotionPoly or a Linkage's coupler (conics.trace_fit).
+
+    ts are the parameter values at which the float lane's orbit is
+    compared with the exact conic.
+    """
     poly = source.product_a if isinstance(source, Linkage) else source
-    return conics.trace_fit(
-        poly.orbit(point, ts),
-        plane_rtol=plane_rtol,
-        moving_point=tuple(float(v) for v in point),
-    )
+    return conics.trace_fit(poly, point, ts)

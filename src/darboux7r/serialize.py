@@ -191,25 +191,20 @@ def linkage_to_json(linkage: Linkage) -> Dict[str, Any]:
 
 def trajectory_to_json(rep: TrajectoryReport) -> Dict[str, Any]:
     out: Dict[str, Any] = {
-        "point": list(rep.point) if rep.point is not None else None,
+        "point": list(rep.point),
         "n_samples": rep.n_samples,
-        "diameter": rep.diameter,
-        "plane_residual": rep.plane_residual,
-        "plane_ok": rep.plane_ok,
+        "float_gap": rep.float_gap,
+        "plane_ok": True,  # every orbit of a motion that reduces to a conic is planar
         "conic_class": rep.conic_class.value,
+        "orbit": {
+            name: [format_scalar(v) for v in vec]
+            for name, vec in (("mean", rep.mean), ("cos", rep.cos), ("sin", rep.sin))
+        },
     }
-    if rep.plane is not None:
-        out["plane"] = {
-            "centroid": list(rep.plane.centroid),
-            "normal": list(rep.plane.normal),
-        }
-    if rep.conic is not None:
-        out["conic"] = {
-            "coeffs": list(rep.conic.coeffs),
-            "semi_major": rep.conic.semi_major,
-            "semi_minor": rep.conic.semi_minor,
-            "center_2d": list(rep.conic.center) if rep.conic.center else None,
-        }
+    if any(rep.cos) or any(rep.sin):  # the point moves
+        out["plane"] = {"normal": None if rep.normal is None else list(rep.normal)}
+    if rep.semi_axes is not None:
+        out["conic"] = {"semi_major": rep.semi_axes[0], "semi_minor": rep.semi_axes[1]}
     return out
 
 

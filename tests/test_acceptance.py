@@ -11,6 +11,9 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from darboux7r import (
     DarbouxParams,
     DualQuaternion,
@@ -21,7 +24,6 @@ from darboux7r import (
     closes_exactly,
     darboux_c,
     darboux_c0,
-    darboux_point_path,
     derive_fiii,
     factor_fi,
     factor_fii,
@@ -196,15 +198,20 @@ def test_c07_circular_translation_condition():
 def test_c08_coupler_paths_planar_ellipses():
     rng = random.Random(108)
     linkage = build_linkage(factor_fi(GENERIC), factor_fiii(GENERIC, *GENERIC_XY))
-    ts = t_grid(20)
+    ts = (Fraction(0), Fraction(1, 3), Fraction(-2), Fraction(9, 4))
     for _ in range(20):
-        pt = tuple(rng.uniform(-3, 3) for _ in range(3))
-        rep = trace_point(linkage, pt, ts)
-        assert rep.plane_residual < 1e-9 * rep.diameter
+        pt = tuple(rational(rng) for _ in range(3))
+        rep = trace_point(linkage, pt, t_grid(20))
         assert rep.conic_class is ConicClass.ELLIPSE
+        for t in ts:
+            cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+            want = linkage.product_a.eval(t).act((1, *pt))[1:]
+            got = tuple(m + u * cos + v * sin for m, u, v in zip(rep.mean, rep.cos, rep.sin))
+            assert got == want
     print(
-        "PASS: 20 random coupler points over 20 samples: plane residual < 1e-9 "
-        "of orbit diameter and conic class Ellipse"
+        "PASS: 20 random rational coupler points: each orbit is exactly "
+        "M + U cos(phi) + V sin(phi) with U x V != 0 (class Ellipse), equal to "
+        "the coupler's action at 4 rational t"
     )
 
 
@@ -254,23 +261,17 @@ def test_c11_parallel_groups_and_substructure():
     )
 
 
-def test_c12_action_matches_parametric_equations():
-    rng = random.Random(112)
-    phis = (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)
-    worst = 0.0
-    for _ in range(5):
-        p = random_params(rng)
-        C0 = darboux_c0(p).to_float()  # includes the constant frame change
-        for _ in range(3):
-            point = tuple(rng.uniform(-3, 3) for _ in range(3))
-            for phi in phis:
-                t = math.tan(phi / 2)
-                y = C0.eval(t).act((1.0,) + point)
-                want = darboux_point_path(p, point, phi)
-                err = max(abs(y[k + 1] / y[0] - want[k]) for k in range(3))
-                worst = max(worst, err)
-    assert worst < 1e-9
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rationals.filter(lambda v: v != 0), small_rationals, small_rationals,
+       st.tuples(small_rationals, small_rationals, small_rationals))
+def test_c12_action_matches_parametric_equations(a, b, c, point):
+    x, y, z = point
+    rep = trace_point(darboux_c0(DarbouxParams(a, b, c)), point, t_grid(9))
+    assert (rep.mean, rep.cos, rep.sin) == ((0, 0, z + c), (x, y, -c), (-y, x + a, b))
     print(
-        f"PASS: point action along C matches the parametric equations at "
-        f"t = tan(phi/2) for phi in {{0, +-1/2, +-1, +-2, +-3}} (max error {worst:.2e})"
+        "PASS: the orbit of (x, y, z) along C0 (C with its frame change) is exactly "
+        "(0, 0, z + c) + (x, y, -c) cos(phi) + (-y, x + a, b) sin(phi)"
     )

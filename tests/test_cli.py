@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 import darboux7r
 from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, factor_fiii, serialize
 from darboux7r.cli import PAIR_TYPES, SINGLE_TYPES, main
+from darboux7r.dualquat import vcross
 
 
 def run(capsys, *argv):
@@ -160,6 +162,10 @@ def test_mobility_dof_columns(capsys):
     assert all(row.split(",")[2] == "1" for row in out.strip().split("\n")[1:])
 
 
+def orbit_of(doc):
+    return tuple(tuple(Fraction(v) for v in doc["orbit"][k]) for k in ("mean", "cos", "sin"))
+
+
 def test_trace_ellipse(capsys):
     code, out, _ = run(
         capsys, "trace", "--type", "FI+FIII", "--a", "1", "--b", "2", "--c", "1",
@@ -169,7 +175,44 @@ def test_trace_ellipse(capsys):
     doc = json.loads(out)
     assert doc["conic_class"] == "Ellipse"
     assert doc["plane_ok"] is True
-    assert doc["plane_residual"] < 1e-9 * doc["diameter"]
+    mean, cos, sin = orbit_of(doc)
+    # The coupler motion C is monic, so at t -> infinity (phi = pi) it is
+    # the identity and M - U is the point itself.
+    assert tuple(m - u for m, u in zip(mean, cos)) == (0, 0, 0)
+    assert vcross(cos, sin) != (0, 0, 0)
+    assert abs(math.hypot(*doc["plane"]["normal"]) - 1) < 1e-15
+    assert doc["float_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("t_max", ["0", "1e-4"])
+def test_short_sampling_ranges_report_the_same_exact_orbit(capsys, t_max):
+    # The samples of a short arc, or a single one, fix no conic; the class
+    # and the orbit must not depend on them.
+    loop = ("trace", "--type", "FI+FIII", "--a", "3/2", "--b=-1", "--c", "2/5",
+            "--x", "1/3", "--y=-2/7", "--point=1/2,-1/3,2")
+    docs = []
+    for extra in ((), ("--t-min=0", f"--t-max={t_max}"), ("--samples", "1")):
+        code, out, _ = run(capsys, *loop, *extra)
+        docs.append(json.loads(out) if code == 0 else {"exit": code})
+    assert [doc.get("conic_class") for doc in docs] == ["Ellipse"] * 3
+    for doc in docs[1:]:
+        assert [doc[k] for k in ("orbit", "plane", "conic")] == [
+            docs[0][k] for k in ("orbit", "plane", "conic")
+        ]
+    assert [doc["n_samples"] for doc in docs] == [24, 24, 1]
+
+
+@pytest.mark.parametrize("point", ["0,0,1", "-1/2,1/2,0"])
+def test_trace_segment_orbit_has_a_plane_and_no_conic(capsys, point):
+    code, out, _ = run(capsys, "trace", "--type", "FI+FII", "--a", "1", "--b", "0", "--c", "0",
+                       f"--point={point}")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["conic_class"] == "Degenerate"
+    assert doc["plane"] == {"normal": None}
+    assert "conic" not in doc
+    mean, cos, sin = orbit_of(doc)
+    assert vcross(cos, sin) == (0, 0, 0) and (cos, sin) != ((0, 0, 0), (0, 0, 0))
 
 
 def test_plot_svg(tmp_path, capsys):
@@ -375,9 +418,12 @@ def assert_flag_error(capsys, flag, *argv):
 
 
 def test_tol_must_be_finite_and_positive(capsys):
-    for command in ("mobility", "trace"):
-        for value in ("-1", "0", "inf", "nan"):
-            assert_flag_error(capsys, "--tol", command, "--type", "FIV", f"--tol={value}")
+    for value in ("-1", "0", "inf", "nan"):
+        assert_flag_error(capsys, "--tol", "mobility", "--type", "FIV", f"--tol={value}")
+    # trace decides its orbit exactly and takes no tolerance.
+    code, out, err = run_exiting(capsys, "trace", "--type", "FIV", "--tol=1e-9")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol=1e-9" in err
 
 
 def test_t_min_must_be_finite_and_bounded(capsys):

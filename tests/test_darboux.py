@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from darboux7r import (
     circular_translation_check,
     darboux_c,
     darboux_c0,
-    darboux_point_path,
     derive_fi,
     derive_fiii,
     factor_fi,
@@ -32,7 +30,8 @@ from darboux7r import (
     poly_product,
     projectively_equal,
     t_squared_plus_one,
-    trace_fit,
+    t_grid,
+    trace_point,
 )
 from darboux7r import darboux
 from darboux7r.conics import ConicClass
@@ -131,27 +130,21 @@ def test_primal_part_factors_as_advertised():
         assert primal == expect
 
 
-def test_point_path_examples():
-    p = DarbouxParams(Fraction(3, 2), Fraction(-1), Fraction(2, 5))
-    assert darboux_point_path(p, (0.25, -2.0, 1.5), 0.0) == (0.25, -2.0, 1.5)
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    X, Y, Z = darboux_point_path(p, (0.0, 0.0, 0.0), math.pi / 2)
-    assert abs(X) < 1e-15 and abs(Y - a) < 1e-15 and abs(Z - (b + c)) < 1e-15
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
 
 
-def test_action_matches_parametric_equations():
-    # the fixed frame differs by the constant left factor k + c eps
-    rng = random.Random(24)
-    for _ in range(10):
-        p = random_params(rng)
-        C0 = darboux_c0(p).to_float()
-        point = tuple(rng.uniform(-3, 3) for _ in range(3))
-        for phi in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
-            t = math.tan(phi / 2)
-            got = C0.eval(t).act((1.0,) + point)
-            want = darboux_point_path(p, point, phi)
-            for g, w in zip(got[1:], want):
-                assert abs(g / got[0] - w) < 1e-9
+@settings(max_examples=50, deadline=None)
+@given(rationals.filter(lambda v: v != 0), rationals, rationals,
+       st.tuples(rationals, rationals, rationals))
+def test_action_matches_parametric_equations(a, b, c, point):
+    # C0's orbit of (x, y, z) is M + U cos(phi) + V sin(phi) with the
+    # parametric equations' M, U and V, exactly; the frame differs from
+    # C's by the constant left factor k + c eps.
+    x, y, z = point
+    rep = trace_point(darboux_c0(DarbouxParams(a, b, c)), point, t_grid(8))
+    assert rep.mean == (0, 0, z + c)
+    assert rep.cos == (x, y, -c)
+    assert rep.sin == (-y, x + a, b)
 
 
 def test_fi_product_is_c():
@@ -291,9 +284,6 @@ def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
         derive_fi(DarbouxParams(1, 2, 0))
 
 
-rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-
-
 @settings(max_examples=100, deadline=None)
 @given(rationals.filter(lambda v: v != 0), rationals, rationals)
 def test_circular_translation_check(a, b, c):
@@ -304,31 +294,17 @@ def test_circular_translation_check(a, b, c):
 
 
 def test_circular_translation_congruent_offsets():
-    # a translation shifts every point by the same vector, so the fitted
-    # circle centers are the sampled points plus one common offset
+    # a translation shifts every point by the same vector: each orbit is a
+    # circle, and its center minus the point is one common offset
     p = DarbouxParams(1, 2, 0)
-    f = factor_fi(p)
-    q3 = f.factors[2]
-    quotient, rem = darboux_c(p).divmod_right(q3)
-    assert rem.degree < 0
-    Q = quotient.to_float()
-    ts = [math.tan(phi / 2) for phi in [(-0.95 + 0.1 * i) * math.pi for i in range(20)]]
-    offsets = []
-    for point in [(0.0, 0.0, 0.0), (1.0, -2.0, 3.0), (0.5, 0.25, -1.0)]:
-        orbit = []
-        for t in ts:
-            y = Q.eval(t).act((1.0,) + point)
-            orbit.append((y[1] / y[0], y[2] / y[0], y[3] / y[0]))
-        rep = trace_fit(orbit)
+    quotient, rem = darboux_c(p).divmod_right(factor_fi(p).factors[2])
+    assert rem.is_zero()
+    offsets = set()
+    for point in [(0, 0, 0), (1, -2, 3), (Fraction(1, 2), Fraction(1, 4), -1)]:
+        rep = trace_point(quotient, point, t_grid(20))
         assert rep.conic_class is ConicClass.CIRCLE
-        pl = rep.plane
-        cu, cv = rep.conic.center
-        center = tuple(
-            pl.centroid[k] + cu * pl.basis_u[k] + cv * pl.basis_v[k] for k in range(3)
-        )
-        offsets.append(tuple(center[k] - point[k] for k in range(3)))
-    for off in offsets[1:]:
-        assert all(abs(off[k] - offsets[0][k]) < 1e-9 for k in range(3))
+        offsets.add(tuple(m - x for m, x in zip(rep.mean, point)))
+    assert len(offsets) == 1
 
 
 def test_fi_product_evaluates_to_c_pointwise():

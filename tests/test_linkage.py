@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from darboux7r import (
     DarbouxParams,
     DualQuaternion,
-    InsufficientSamples,
     MotionPoly,
     SingularChoice,
     build_linkage,
@@ -34,7 +33,7 @@ from darboux7r import (
     transform_axis,
 )
 from darboux7r.cli import LOOPS, PAIR_TYPES, build_family
-from darboux7r.conics import ConicClass
+from darboux7r.conics import ConicClass, conic_orbit
 from darboux7r.errors import ClosureFailure, KinematicsError
 from darboux7r.dualquat import DQ_ONE
 from darboux7r.linkage import _unit_screws, axes_at, chain_poses
@@ -268,16 +267,23 @@ def test_axes_at_is_the_two_point_transport_exactly(kind, values, t):
     assert axes_at(loop, t) == expected
 
 
+def conic_at(rep, t):
+    """The exact orbit M + U cos(phi) + V sin(phi) of a report at rational t = tan(phi/2)."""
+    cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return tuple(m + u * cos + v * sin for m, u, v in zip(rep.mean, rep.cos, rep.sin))
+
+
 def test_trace_coupler_point_is_ellipse():
     rng = random.Random(43)
     l = linkage_fi_fiii()
-    ts = t_grid(20)
     for _ in range(5):
         pt = tuple(rng.uniform(-2, 2) for _ in range(3))
-        rep = trace_point(l, pt, ts)
-        assert rep.plane_ok
+        rep = trace_point(l, pt, t_grid(20))
         assert rep.conic_class is ConicClass.ELLIPSE
-        assert rep.plane_residual < 1e-9 * rep.diameter
+        for t in (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
+            image = l.product_a.eval(t).act((1, *map(Fraction, pt)))
+            assert conic_at(rep, t) == image[1:]
+        assert rep.float_gap < 1e-12
 
 
 def test_trace_fixed_point_degenerate():
@@ -291,7 +297,38 @@ def test_trace_fixed_point_degenerate():
     assert rep.conic_class is ConicClass.DEGENERATE
 
 
-def test_trace_requires_enough_samples():
-    l = linkage_fi_fiii()
-    with pytest.raises(InsufficientSamples):
-        trace_point(l, (0.0, 0.0, 0.0), t_grid(5))
+def test_orbit_that_is_no_conic_over_t2_plus_1_raises():
+    # Rotations whose norm is not t^2 + 1: the orbit keeps its own denominator.
+    h = MotionPoly.t_minus(dq(1, 0, 0, 1))  # norm (t - 1)^2 + 1
+    g = MotionPoly.t_minus(dq(0, 2, 0, 0))  # norm t^2 + 4
+    for poly, degree in ((h, 2), (h * g, 4)):
+        with pytest.raises(KinematicsError, match=f"reduced degree {degree}$"):
+            trace_point(poly, (1, 2, 3), t_grid(4))
+
+
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(small_rationals, min_size=5, max_size=5),
+       st.lists(small_rationals, min_size=3, max_size=3))
+def test_every_coupler_trajectory_is_a_planar_conic(values, point):
+    # The orbit numerator Y is affine in the point.  So when the four affine
+    # basis points reduce to (A0 + A1 t + A2 t^2)/(1 + t^2), every point does:
+    # each coupler trajectory is M + U cos(phi) + V sin(phi), a planar conic.
+    assume(values[0] != 0)
+    values = dict(zip("abcxy", values))
+    for kind in PAIR_TYPES:
+        try:
+            loop = build_linkage(*(build_family(family, values) for family in LOOPS[kind]))
+        except SingularChoice:
+            continue
+        origin, *units = (
+            conic_orbit(loop.product_a, e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
+        # M, U and V of the point are the same affine combination of the basis ones.
+        affine = tuple(
+            tuple(o + sum(x * (e[k][i] - o) for x, e in zip(point, units)) for i, o in enumerate(vec))
+            for k, vec in enumerate(origin)
+        )
+        assert conic_orbit(loop.product_a, point) == affine

@@ -87,7 +87,7 @@ def test_only_the_numpy_handle_imports_numpy():
     assert found == []
 
 
-MAX_DEFAULTED_PARAMETERS = 12
+MAX_DEFAULTED_PARAMETERS = 9
 
 
 def test_parameters_with_a_default_stay_at_the_ceiling():
