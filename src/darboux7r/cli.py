@@ -77,14 +77,17 @@ def _rational(text: str):
     return parse_scalar(text)
 
 
-def _point3(text: str) -> Tuple[float, float, float]:
+def _point3(text: str) -> Tuple[Scalar, Scalar, Scalar]:
+    """The exact coordinates x,y,z; each must also fit a float64 for the float lane."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected x,y,z but got {text!r}")
+    point = tuple(map(parse_scalar, parts))
     try:
-        return tuple(float(parse_scalar(p)) for p in parts)
+        [float(v) for v in point]
     except OverflowError:
         raise argparse.ArgumentTypeError(f"{text!r} is beyond the float64 range") from None
+    return point
 
 
 # Values of the parameter flags that are not given; at these FI+FIII is

@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 from .dualquat import (
     DQ_ONE,
-    DisplacementKind,
+    AxisLine,
     DualQuaternion,
     Q_K,
     Q_ZERO,
@@ -42,7 +42,7 @@ from .dualquat import (
     vcross,
     vdot,
 )
-from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
+from .errors import DegenerateParams, NotADivisor, NotARotation, NotRotational, SingularChoice
 from .motionpoly import MotionPoly, ONE_POLY, poly_product, t_squared_plus_one
 from .scalars import Scalar, sdiv
 
@@ -120,21 +120,25 @@ class Factorization:
     def target(self) -> MotionPoly:
         return darboux_c(self.params)
 
-    def check_rotation_chain(self) -> None:
-        """Raise NotRotational unless the factors can form a revolute chain.
+    def check_rotation_chain(self) -> Tuple[AxisLine, ...]:
+        """The factors' root axes; raise NotRotational unless they can form a revolute chain.
 
         Every factor must be monic linear with a rotation root, each
         identical_adjacent pair must name two equal adjacent factors, and
         the factor count and pairs must be those of the label's family.
         FI and FII have no free_xy; for FIII and FIV the doubled last
         factor is t - k - x eps i - y eps j at free_xy = (x, y), and FIV is
-        the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).
+        the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).  The axes come
+        from the one rotation test of each root.
         """
+        axes = []
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
                 raise NotRotational(f"factor {k} is not monic linear")
-            if (-f.coeff(0)).classify() is not DisplacementKind.ROTATION:
-                raise NotRotational(f"factor {k} root is not a rotation quaternion")
+            try:
+                axes.append((-f.coeff(0)).axis())
+            except NotARotation:
+                raise NotRotational(f"factor {k} root is not a rotation quaternion") from None
         n = len(self.factors)
         for i, j in self.identical_adjacent:
             if not (0 <= i and j == i + 1 < n and self.factors[i] == self.factors[j]):
@@ -153,7 +157,7 @@ class Factorization:
         if self.label in ("FI", "FII"):
             if xy is not None:
                 raise NotRotational("has free_xy; the label needs null")
-            return
+            return tuple(axes)
         if xy is None:
             raise NotRotational("needs free_xy, a pair x, y")
         if self.factors[-1] != MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, *xy, 0))):
@@ -164,6 +168,7 @@ class Factorization:
         p = self.params
         if self.label == "FIV" and ((p.a, p.b, p.c), xy) != ((1, 2, 0), (0, 0)):
             raise NotRotational("is the instance (a, b, c, x, y) = (1, 2, 0, 0, 0) only")
+        return tuple(axes)
 
     def roots(self) -> Tuple[DualQuaternion, ...]:
         """Root h of each monic linear factor t - h, in factor order."""

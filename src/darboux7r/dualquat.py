@@ -25,11 +25,15 @@ One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
 quaternion products inside DualQuaternion.__mul__.  The float64 array
 kernel at the end of the module (dq_mul_many, act_many,
 conjugate_many; motionpoly.poses_many builds on it) evaluates many
-parameter values at once.  It repeats the scalar formulas operation by
-operation on (..., 8) arrays, _qmul adding its terms in _hamilton's
-order, so it gives the scalar float lane's values bit for bit (a NaN's
+parameter values at once.  It repeats the scalar formulas on (..., 8)
+arrays and gives the scalar float lane's values bit for bit (a NaN's
 sign aside, which IEEE 754 leaves open), and it keeps the preconditions
-of act.
+of act.  Its cost on short grids is the number of numpy calls, so _qmul
+adds one gathered term of a per step, four steps for all four
+components, and dq_mul_many runs its three quaternion products as one
+batch of _qmul.  Each component still adds _hamilton's terms in
+_hamilton's order: IEEE 754 defines x - y as x + (-y), and a * (-b) is
+-(a * b) exactly, so the gathered, signed terms round as the scalar ones.
 """
 
 from __future__ import annotations
@@ -216,10 +220,12 @@ class DualQuaternion(_Coeffs):
         return (_dot4(p, p), 2 * _dot4(p, d))
 
     def has_real_norm(self) -> bool:
-        n0, n1 = self.norm()
-        if is_exact(n1):
-            return n1 == 0
-        return abs(n1) <= _FLOAT_REAL_NORM_RTOL * max(1.0, abs(n0))
+        """Whether the dual part n1 = 2 p.d of the norm is zero (to a float tolerance)."""
+        p, d = self[:4], self[4:]
+        x = _dot4(p, d)
+        if is_exact(x):
+            return x == 0
+        return abs(2 * x) <= _FLOAT_REAL_NORM_RTOL * max(1.0, abs(_dot4(p, p)))
 
     def __mul__(self, other):
         if isinstance(other, DualQuaternion):
@@ -397,25 +403,27 @@ DQ_ONE_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _CONJ = (1.0, -1.0, -1.0, -1.0)
 _CONJ8 = _CONJ + _CONJ
 
+# Term k of _hamilton's component c is a[k] * b[_PERM[k][c]] * _SIGN[k][c].
+_PERM = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_SIGN = ((1.0,) * 4, (-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0), (-1.0, -1.0, 1.0, 1.0))
+# DualQuaternion.__mul__'s products p1 p2, p1 d2 and d1 p2 as one batch.
+_LEFT = (0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7)
+_RIGHT = (0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3)
+
 
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        (
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ),
-        axis=-1,
-    )
+    """Hamilton products a * b of quaternion rows, as _hamilton (bit for bit)."""
+    acc = a[..., 0:1] * b
+    for k in range(1, 4):
+        acc += a[..., k:k + 1] * (b[..., _PERM[k]] * _SIGN[k])
+    return acc
 
 
 def dq_mul_many(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Products h * g of dual quaternion rows, as DualQuaternion.__mul__."""
-    p1, d1, p2, d2 = h[..., :4], h[..., 4:], g[..., :4], g[..., 4:]
-    return np.concatenate((_qmul(p1, p2), _qmul(p1, d2) + _qmul(d1, p2)), axis=-1)
+    r = _qmul(h[..., _LEFT].reshape(h.shape[:-1] + (3, 4)),
+              g[..., _RIGHT].reshape(g.shape[:-1] + (3, 4)))
+    return np.concatenate((r[..., 0, :], r[..., 1, :] + r[..., 2, :]), axis=-1)
 
 
 def _displacement_norms(h: np.ndarray) -> np.ndarray:

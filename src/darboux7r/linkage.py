@@ -18,8 +18,12 @@ parallel-group and Sarrus analysis read, are computed on first use.
 Two lanes evaluate them: chain_poses and axes_at take one exact (or
 float) parameter through the scalar algebra, while simulate and mobility
 sample float64 arrays of parameters through the batched kernel
-(motionpoly.poses_many, dualquat.conjugate_many).
+(motionpoly.poses_many, dualquat.conjugate_many); one poses_many call
+rounds and walks both chains together, so a one-sample call pays the
+kernel's fixed cost once, not once per chain.
 Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P).
+Each joint's reference axis is the one Factorization.check_rotation_chain
+gets from its rotation test, so building a loop classifies each root once.
 trace_point decides a coupler point's orbit exactly, for all t at once
 (conics.trace_fit).
 """
@@ -105,12 +109,11 @@ def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
 
 
 def _chain_joints(f: Factorization, side: str) -> List[Joint]:
-    f.check_rotation_chain()
-    joints = []
-    for run in _runs_of_equal(f.factors):
-        root = -f.factors[run[0]].coeff(0)
-        joints.append(Joint(side, run, root, root.axis()))
-    return joints
+    axes = f.check_rotation_chain()
+    return [
+        Joint(side, run, -f.factors[run[0]].coeff(0), axes[run[0]])
+        for run in _runs_of_equal(f.factors)
+    ]
 
 
 def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
@@ -187,8 +190,8 @@ def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     return tuple(axes[j.chain, j.factor_indices[0]] for j in linkage.joints)
 
 
-def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> Tuple[np.ndarray, np.ndarray]:
-    return poses_many(linkage.chain_a.factors, ts), poses_many(linkage.chain_b.factors, ts)
+def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> List[np.ndarray]:
+    return poses_many((linkage.chain_a.factors, linkage.chain_b.factors), ts)
 
 
 def _root_rows(linkage: Linkage) -> np.ndarray:

@@ -330,18 +330,23 @@ def _horner_many(coeffs: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
     return acc
 
 
-def poses_many(factors: Sequence[MotionPoly], ts: Sequence[Scalar]) -> np.ndarray:
-    """Float64 link poses of a chain at every t, shape (len(ts), len(factors) + 1, 8).
+def poses_many(chains: Sequence[Sequence[MotionPoly]], ts: Sequence[Scalar]) -> List[np.ndarray]:
+    """Float64 link poses of each chain at every t, shape (len(ts), len(chain) + 1, 8) each.
 
-    Entry [:, j] is the product of the first j factor values, the batched
-    form of linkage.chain_poses.
+    Entry [:, j] is the product of the chain's first j factor values, the
+    batched form of linkage.chain_poses.  All chains are rounded and
+    evaluated together and walked in one loop of products: a shorter
+    chain is padded after its end with the factor 1, so its own entries
+    are computed exactly as for it alone.
     """
-    values = _horner_many(_coeff_array([f.coeffs for f in factors]), ts)
-    poses = np.empty((values.shape[0], len(factors) + 1, 8))
-    poses[:, 0] = DQ_ONE_ROW
-    for j in range(len(factors)):
-        poses[:, j + 1] = dq_mul_many(poses[:, j], values[:, j])
-    return poses
+    n = max(map(len, chains))
+    rows = [row for c in chains for row in [f.coeffs for f in c] + [(DQ_ONE,)] * (n - len(c))]
+    values = _horner_many(_coeff_array(rows), ts).reshape(len(ts), len(chains), n, 8)
+    poses = np.empty(values.shape[:2] + (n + 1, 8))
+    poses[:, :, 0] = DQ_ONE_ROW
+    for j in range(n):
+        poses[:, :, j + 1] = dq_mul_many(poses[:, :, j], values[:, :, j])
+    return [poses[:, i, :len(c) + 1] for i, c in enumerate(chains)]
 
 
 def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:

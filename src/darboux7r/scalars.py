@@ -45,10 +45,10 @@ def format_scalar(x: Scalar) -> Union[str, float]:
     (sys.get_int_max_str_digits) raises KinematicsError.
     """
     if is_exact(x):
-        q = Fraction(x)
         try:
-            return str(q)
+            return str(x)
         except ValueError:
+            q = Fraction(x)
             size = math.log10(abs(q.numerator)) - math.log10(q.denominator)
             raise KinematicsError(
                 f"an exact value of about 1e{size:+.0f} has more digits than the "

@@ -6,7 +6,10 @@ each frame every joint axis is drawn as a segment about its point
 nearest the origin; an axis parallel to the viewing direction projects
 to a point and is drawn as a small circle instead.  The loop polyline
 connects consecutive joint anchors, colored by chain, and an optional
-traced point orbit is drawn behind the linkage.
+traced point orbit is drawn behind the linkage.  The orbit is projected
+once; each frame maps it to the screen with array operations, in the
+order of the scalar to_screen formula, and formats its path with one
+%-template, so the text is that of formatting each vertex alone.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from ._numpy import np
 from .darboux import t_grid
 from .errors import KinematicsError
 from .linkage import Linkage, axes_many
+from .scalars import Scalar
 
 # (u-axis, v-axis, view direction) as coordinate indices
 _VIEWS = {
@@ -32,6 +36,7 @@ _AXIS_HALF_LENGTH_FRACTION = 0.22  # of the scene diameter
 _VIEW_PARALLEL_TOL = 1e-9
 _CELL = 260  # frame side in pixels
 _TRACE_SAMPLES = 120  # vertices of the traced orbit
+_TRACE_PATH = "M%.2f,%.2f" + " L%.2f,%.2f" * (_TRACE_SAMPLES - 1)
 
 
 def _project(point: Sequence[float], view: str) -> Tuple[float, float]:
@@ -60,7 +65,7 @@ def render_linkage(
     linkage: Linkage,
     ts: Sequence,
     view: str = "xy",
-    trace_point: Optional[Tuple[float, float, float]] = None,
+    trace_point: Optional[Sequence[Scalar]] = None,
 ) -> str:
     """Render configurations at the given parameter values as an SVG grid."""
     if view not in _VIEWS:
@@ -70,15 +75,18 @@ def render_linkage(
 
     frames = list(zip((float(t) for t in ts), *_axis_screen_data(linkage, ts)))
 
-    trace_pts: List[List[float]] = []
+    trace_uv = None  # the orbit's projected coordinates, two arrays
     if trace_point is not None:
-        trace_pts = linkage.product_a.orbit(trace_point, t_grid(_TRACE_SAMPLES)).tolist()
+        iu, iv, _ = _VIEWS[view]
+        orbit = linkage.product_a.orbit(trace_point, t_grid(_TRACE_SAMPLES))
+        trace_uv = (orbit[:, iu], orbit[:, iv])
 
     # Shared bounding box so all frames use one scale.
     pts2: List[Tuple[float, float]] = []
     for _, anchors, _ in frames:
         pts2.extend(_project(p, view) for p in anchors)
-    pts2.extend(_project(p, view) for p in trace_pts)
+    if trace_uv is not None:
+        pts2.extend(zip(trace_uv[0].tolist(), trace_uv[1].tolist()))
     us = [p[0] for p in pts2]
     vs = [p[1] for p in pts2]
     umin, umax = min(us), max(us)
@@ -104,9 +112,9 @@ def render_linkage(
     width = cols * _CELL
     height = rows * _CELL
 
-    def to_screen(p3, col: int, row: int) -> Tuple[float, float]:
-        u, v = _project(p3, view)
-        # center the scene in the cell; SVG y grows downward
+    def to_screen(u, v, col: int, row: int):
+        # Floats or float64 arrays, in the same operations.  Center the
+        # scene in the cell; SVG y grows downward.
         sx = col * _CELL + margin + (u - umin) * scale + (inner - (umax - umin) * scale) / 2
         sy = row * _CELL + margin + (vmax - v) * scale + (inner - (vmax - vmin) * scale) / 2
         return (sx, sy)
@@ -127,23 +135,21 @@ def render_linkage(
             f'height="{_CELL - 2}" fill="none" stroke="#dddddd"/>'
         )
 
-        if trace_pts:
-            path = " ".join(
-                ("M" if i == 0 else "L")
-                + "{:.2f},{:.2f}".format(*to_screen(p, col, row))
-                for i, p in enumerate(trace_pts)
-            )
+        if trace_uv is not None:
+            sx, sy = to_screen(*trace_uv, col, row)
+            path = _TRACE_PATH % tuple(np.column_stack((sx, sy)).ravel().tolist())
             out.append(
                 f'<path d="{path} Z" fill="none" stroke="{_TRACE_COLOR}" '
                 f'stroke-width="1"/>'
             )
 
         # Loop polyline through consecutive anchors (links), colored by chain.
+        screen = [to_screen(*_project(p, view), col, row) for p in anchors]
         m = len(anchors)
         for i in range(m):
             j = (i + 1) % m
-            x1, y1 = to_screen(anchors[i], col, row)
-            x2, y2 = to_screen(anchors[j], col, row)
+            x1, y1 = screen[i]
+            x2, y2 = screen[j]
             chain = linkage.joints[j].chain
             color = _CHAIN_COLORS.get(chain, "#444444")
             out.append(
@@ -154,7 +160,7 @@ def render_linkage(
         for i in range(m):
             chain = linkage.joints[i].chain
             color = _CHAIN_COLORS.get(chain, "#444444")
-            ax, ay = to_screen(anchors[i], col, row)
+            ax, ay = screen[i]
             d = dirs[i]
             if _is_view_parallel(d, view):
                 out.append(

@@ -17,6 +17,7 @@ import pytest
 import darboux7r
 from darboux7r import DarbouxParams, darboux_c, factor_fi, factor_fii, factor_fiii, serialize
 from darboux7r.cli import PAIR_TYPES, SINGLE_TYPES, main
+from darboux7r.conics import conic_orbit
 from darboux7r.dualquat import vcross
 
 
@@ -215,6 +216,18 @@ def test_trace_segment_orbit_has_a_plane_and_no_conic(capsys, point):
     assert vcross(cos, sin) == (0, 0, 0) and (cos, sin) != ((0, 0, 0), (0, 0, 0))
 
 
+def test_trace_point_is_the_rational_typed(capsys):
+    # -1/3 has no binary expansion: the orbit is that of -1/3 itself, not
+    # of the double nearest it; only the reported point is a float.
+    code, out, _ = run(capsys, "trace", "--type", "FI+FIII", "--a", "3/2", "--b=-1", "--c", "2/5",
+                       "--x", "1/3", "--y=-2/7", "--point=1/2,-1/3,2")
+    assert code == 0
+    doc = json.loads(out)
+    point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
+    assert orbit_of(doc) == conic_orbit(factor_fi(PARAMS).product(), point)
+    assert doc["point"] == [0.5, -1 / 3, 2.0]
+
+
 def test_plot_svg(tmp_path, capsys):
     path = tmp_path / "plot.svg"
     code, _, _ = run(capsys, "plot", "--type", "FIV", "--samples", "11", "--out", str(path))
@@ -280,6 +293,26 @@ def test_plot_point_overlay_one_orbit_per_frame(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "be913cfe58e1dd31276d97bca79825944c28b5e44a24aa3660b73bc0c6ceb337"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--type", "FI+FIII", "--a", "3/2", "--b=-1", "--c", "2/5", "--x", "1/3", "--y=-2/7",
+          "--point=1/2,-1/3,2"),
+         "f3d341075d8f1e6402e6111c401d179a5ecba767863b99e023a5263b29e398c6"),
+        (("--type", "FIV", "--view", "xz", "--samples", "16", "--point=1,2,3"),
+         "05c761fcb8fd2b9fc8650c26f6745252d8190d4f8881114a6bc918c5dda19cf3"),
+        (("--type", "FI+FII", "--b=-7/3"),
+         "56c75f26c45fa376d670abd5226f19e656be95c5cd8eca8033de25e26715c749"),
+    ],
+)
+def test_plot_bytes_are_pinned(capsys, argv, digest):
+    # Each loop type, a non-default view and frame count, and a non-dyadic
+    # orbit point: the SVG text may only change on purpose.
+    code, out, _ = run(capsys, "plot", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 PARAMS = DarbouxParams(Fraction(3, 2), Fraction(-1), Fraction(2, 5))

@@ -241,6 +241,13 @@ def test_fiii_axis_groups():
         assert q7.axis().is_parallel_to(q6.axis())
 
 
+def test_rotation_check_returns_each_root_axis():
+    rng = random.Random(5)
+    p, x, y = random_fiii_args(rng)
+    for f in (factor_fi(p), factor_fii(p), factor_fiii(p, x, y), factor_fiv(), fiv_companion_fi()):
+        assert f.check_rotation_chain() == tuple(root.axis() for root in f.roots())
+
+
 def test_fiv_reproduces_both_special_cases():
     fiv = factor_fiv()
     assert fiv.factors == factor_fiii(DarbouxParams(1, 2, 0), 0, 0).factors

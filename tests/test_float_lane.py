@@ -77,7 +77,7 @@ def exact_rank(axes) -> int:
 def test_poses_match_exact_lane(kind):
     l = loop(kind)
     for chain in (l.chain_a, l.chain_b):
-        batched = poses_many(chain.factors, TS)
+        batched = poses_many([chain.factors], TS)[0]
         assert batched.shape == (len(TS), len(chain.factors) + 1, 8)
         for i, t in enumerate(TS):
             assert_rows_close(batched[i], rows(chain_poses(chain, Fraction(t))))
@@ -100,8 +100,8 @@ def test_simulate_samples_the_batched_lane(kind):
     l = loop(kind)
     s = simulate(l, TS)
     assert np.array_equal(s.t, TS)
-    assert np.array_equal(s.poses_a, poses_many(l.chain_a.factors, TS))
-    assert np.array_equal(s.poses_b, poses_many(l.chain_b.factors, TS))
+    assert np.array_equal(s.poses_a, poses_many([l.chain_a.factors], TS)[0])
+    assert np.array_equal(s.poses_b, poses_many([l.chain_b.factors], TS)[0])
     assert np.array_equal(s.axes, axes_many(l, TS))
     assert np.all(s.closure_residual < REL_TOL)
     for i, t in enumerate(TS):

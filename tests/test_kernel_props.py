@@ -18,8 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from darboux7r import DualQuaternion, NotADisplacement, ZeroPrimal  # noqa: E402
+from darboux7r import DualQuaternion, MotionPoly, NotADisplacement, ZeroPrimal  # noqa: E402
 from darboux7r.dualquat import (  # noqa: E402
+    DQ_ONE,
     Quaternion,
     _qmul,
     act_many,
@@ -27,6 +28,7 @@ from darboux7r.dualquat import (  # noqa: E402
     dq_mul_many,
     ray_gap,
 )
+from darboux7r.motionpoly import poses_many  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
@@ -114,6 +116,42 @@ def test_product_broadcasts_over_leading_axes(lefts, rights):
     for i, a in enumerate(lefts):
         for j, b in enumerate(rights):
             assert np.array_equal(table[i, j], row(a.to_float() * b.to_float()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_product_of_stacked_rows_repeats_scalar_product(n, k, data):
+    # (N, k, 8) rows, the layout of poses_many's walk over k chains.
+    pairs = data.draw(st.lists(st.tuples(dual_quaternions | float_dual_quaternions,
+                                         dual_quaternions | float_dual_quaternions),
+                               min_size=n * k, max_size=n * k))
+    h = np.array([row(a) for a, _ in pairs]).reshape(n, k, 8)
+    g = np.array([row(b) for _, b in pairs]).reshape(n, k, 8)
+    scalar = np.array([row(a.to_float() * b.to_float()) for a, b in pairs]).reshape(n, k, 8)
+    with np.errstate(all="ignore"):
+        batched = dq_mul_many(h, g)
+    assert np.array_equal(batched, scalar, equal_nan=True)
+    numbers = ~np.isnan(scalar)
+    assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
+
+
+chains = st.lists(dual_quaternions.map(MotionPoly.t_minus), min_size=1, max_size=5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chains, chains, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+def test_chains_walked_together_repeat_each_walk_alone(a, b, ts):
+    # The shorter chain is padded after its end, so its poses keep their bits.
+    assume(len(a) != len(b))
+    for chain, poses in zip((a, b), poses_many([a, b], ts)):
+        assert poses.shape == (len(ts), len(chain) + 1, 8)
+        assert np.array_equal(poses, poses_many([chain], ts)[0])
+        for i, t in enumerate(ts):
+            pose, walk = DQ_ONE, [row(DQ_ONE)]
+            for f in chain:
+                pose = pose * f.to_float().eval(t)
+                walk.append(row(pose))
+            assert np.array_equal(poses[i], np.array(walk))
 
 
 @settings(max_examples=100, deadline=None)
