@@ -21,9 +21,8 @@ doubled last factors).  FIV is the anchor instance of FIII at
 same motion yields closed 7R linkages (see linkage.py).
 
 FI exists because C / Q3 is a circular translation.  derive_fi and
-derive_fiii find their factors by that condition (_circular_split), and
-circular_translation_check decides it for C / Q3 with the same exact
-test; nothing here fits floats.
+derive_fiii decide that condition exactly (_circular_split) and find
+their factors by it; nothing here fits floats.
 """
 
 from __future__ import annotations
@@ -76,20 +75,6 @@ def darboux_c(p: DarbouxParams) -> MotionPoly:
             DQ_ONE,
         )
     )
-
-
-def frame_change(p: DarbouxParams) -> DualQuaternion:
-    """Constant left factor k + c*eps linking C to the direct form C0."""
-    return DualQuaternion(Q_K, Quaternion(p.c, 0, 0, 0))
-
-
-def darboux_c0(p: DarbouxParams) -> MotionPoly:
-    """Direct form C0 = (k + c*eps) * C; its action gives the parametric equations.
-
-    Expanding the product:
-    C0 = (k + c eps) t^3 + (1 + eps(b - a i - c k)) t^2 + (k - eps(a j + b k)) t + 1
-    """
-    return MotionPoly.constant(frame_change(p)) * darboux_c(p)
 
 
 # Factor count and doubled-factor pairs of each family: FI has three
@@ -381,48 +366,7 @@ def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
     )
 
 
-@dataclass(frozen=True)
-class CircularTranslationReport:
-    """Exact circularity pairs of the translation quotient C / Q3 and a perturbed twin.
-
-    Each pair is _circularity of a quotient, the test _circular_split
-    applies: a translation quotient is circular exactly when its pair is
-    (0, 0).
-    """
-
-    params: DarbouxParams
-    quotient_primal_ok: bool
-    circularity: Tuple[Scalar, Scalar]
-    perturbed_circularity: Tuple[Scalar, Scalar]
-
-
-# Shift of Q3's j dual coordinate in circular_translation_check.
-PERTURBATION = 1
-
-
 def t_grid(n: int) -> Tuple[float, ...]:
     """Samples t = tan(phi/2) over the whole closed orbit, phi the midpoints of
     a uniform grid on (-pi, pi); odd n includes t = 0."""
     return tuple(math.tan((-math.pi + 2 * math.pi * (k + 0.5) / n) / 2) for k in range(n))
-
-
-def circular_translation_check(p: DarbouxParams) -> CircularTranslationReport:
-    """Decide exactly that C / Q3 is a circular translation and that circularity is sharp.
-
-    The quotient of C by the FI factor Q3 must have primal part t^2 + 1
-    (a translation) and meet both circularity conditions with zero
-    tolerance.  Replacing Q3's j dual coordinate w by w + PERTURBATION
-    keeps the quotient a translation, but one that is not circular.
-    """
-    c = darboux_c(p)
-    q3 = factor_fi(p).factors[2]
-    quot, rem = c.divmod_right(q3)
-    primal_ok = (
-        rem.is_zero()
-        and quot.coeff(2) == DQ_ONE
-        and quot.coeff(1).p.is_zero()
-        and quot.coeff(0).p == Quaternion(1, 0, 0, 0)
-    )
-    q3p = -q3.coeff(0) + DualQuaternion(Q_ZERO, Quaternion(0, 0, PERTURBATION, 0))
-    quot_p = _exact_quotient(c, MotionPoly.t_minus(q3p))
-    return CircularTranslationReport(p, primal_ok, _circularity(quot), _circularity(quot_p))

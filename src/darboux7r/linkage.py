@@ -285,14 +285,6 @@ class SubstructureReport:
     four_bar_runs: Tuple[Tuple[int, ...], ...]
     sarrus: Tuple[SarrusDecomposition, ...]
 
-    @property
-    def has_four_bar(self) -> bool:
-        return bool(self.four_bar_runs)
-
-    @property
-    def has_sarrus(self) -> bool:
-        return bool(self.sarrus)
-
 
 def substructure_report(linkage: Linkage) -> SubstructureReport:
     """Detect parallel-axis substructures in the joint cycle at the home axes.
@@ -381,12 +373,11 @@ def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
 
 
 def trace_point(
-    source: Union[Linkage, MotionPoly], point: Sequence[Scalar], ts: Sequence[float]
+    linkage: Linkage, point: Sequence[Scalar], ts: Sequence[float]
 ) -> conics.TrajectoryReport:
-    """The exact orbit of a point under a MotionPoly or a Linkage's coupler (conics.trace_fit).
+    """The exact orbit of a point under the coupler, conics.trace_fit of product_a.
 
     ts are the parameter values at which the float lane's orbit is
     compared with the exact conic.
     """
-    poly = source.product_a if isinstance(source, Linkage) else source
-    return conics.trace_fit(poly, point, ts)
+    return conics.trace_fit(linkage.product_a, point, ts)

@@ -61,13 +61,6 @@ def axis_to_json(ax: AxisLine) -> Dict[str, Any]:
     }
 
 
-def axis_from_json(d: Dict[str, Any]) -> AxisLine:
-    return AxisLine(
-        tuple(scalar_from_json(v) for v in d["direction"]),
-        tuple(scalar_from_json(v) for v in d["moment"]),
-    )
-
-
 def motionpoly_to_json(p: MotionPoly) -> List[List]:
     return [dq_to_json(c) for c in p.coeffs]
 

@@ -6,8 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from darboux7r import (
     AxisLine,
@@ -16,9 +14,7 @@ from darboux7r import (
     DualQuaternion,
     MotionPoly,
     SingularChoice,
-    circular_translation_check,
     darboux_c,
-    darboux_c0,
     derive_fi,
     derive_fiii,
     factor_fi,
@@ -26,16 +22,15 @@ from darboux7r import (
     factor_fiii,
     factor_fiv,
     fiv_companion_fi,
-    frame_change,
     poly_product,
     projectively_equal,
     t_squared_plus_one,
     t_grid,
-    trace_point,
+    trace_fit,
 )
 from darboux7r import darboux
 from darboux7r.conics import ConicClass
-from darboux7r.dualquat import Q_ZERO
+from darboux7r.dualquat import Q_K, Q_ZERO, Quaternion
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
@@ -43,6 +38,11 @@ def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:
 
 
 K_AXIS = AxisLine((0, 0, 1), (0, 0, 0))
+
+
+def c0(p: DarbouxParams) -> MotionPoly:
+    """C0 = (k + c eps) C, the frame whose action gives the parametric equations."""
+    return MotionPoly.constant(DualQuaternion(Q_K, Quaternion(p.c, 0, 0, 0))) * darboux_c(p)
 
 
 def rational(rng: random.Random) -> Fraction:
@@ -84,7 +84,7 @@ def test_darboux_c_printed_instance():
 
 
 def test_darboux_c0_printed_instance():
-    C0 = darboux_c0(DarbouxParams(1, 0, 0))
+    C0 = c0(DarbouxParams(1, 0, 0))
     expect = MotionPoly(
         (
             dq(h0=1),
@@ -100,14 +100,7 @@ def test_c0_leading_coefficient():
     rng = random.Random(20)
     for _ in range(20):
         p = random_params(rng)
-        assert darboux_c0(p).leading == dq(h3=1, h4=p.c)
-
-
-def test_c0_is_frame_change_times_c():
-    rng = random.Random(21)
-    for _ in range(50):
-        p = random_params(rng)
-        assert MotionPoly.constant(frame_change(p)) * darboux_c(p) == darboux_c0(p)
+        assert c0(p).leading == dq(h3=1, h4=p.c)
 
 
 def test_c_is_motion_polynomial_and_norm():
@@ -117,7 +110,7 @@ def test_c_is_motion_polynomial_and_norm():
         p = random_params(rng)
         C = darboux_c(p)
         assert C.is_motion_polynomial()
-        assert darboux_c0(p).is_motion_polynomial()
+        assert c0(p).is_motion_polynomial()
         assert C.norm_poly() == cube
 
 
@@ -128,23 +121,6 @@ def test_primal_part_factors_as_advertised():
         primal = MotionPoly(tuple(DualQuaternion(c.p, Q_ZERO) for c in C.coeffs))
         expect = t_squared_plus_one() * MotionPoly.t_minus(dq(h3=1))
         assert primal == expect
-
-
-rationals = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-
-
-@settings(max_examples=50, deadline=None)
-@given(rationals.filter(lambda v: v != 0), rationals, rationals,
-       st.tuples(rationals, rationals, rationals))
-def test_action_matches_parametric_equations(a, b, c, point):
-    # C0's orbit of (x, y, z) is M + U cos(phi) + V sin(phi) with the
-    # parametric equations' M, U and V, exactly; the frame differs from
-    # C's by the constant left factor k + c eps.
-    x, y, z = point
-    rep = trace_point(darboux_c0(DarbouxParams(a, b, c)), point, t_grid(8))
-    assert rep.mean == (0, 0, z + c)
-    assert rep.cos == (x, y, -c)
-    assert rep.sin == (-y, x + a, b)
 
 
 def test_fi_product_is_c():
@@ -291,15 +267,6 @@ def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
         derive_fi(DarbouxParams(1, 2, 0))
 
 
-@settings(max_examples=100, deadline=None)
-@given(rationals.filter(lambda v: v != 0), rationals, rationals)
-def test_circular_translation_check(a, b, c):
-    rep = circular_translation_check(DarbouxParams(a, b, c))
-    assert rep.quotient_primal_ok
-    assert rep.circularity == (0, 0)
-    assert rep.perturbed_circularity != (0, 0)
-
-
 def test_circular_translation_congruent_offsets():
     # a translation shifts every point by the same vector: each orbit is a
     # circle, and its center minus the point is one common offset
@@ -308,7 +275,7 @@ def test_circular_translation_congruent_offsets():
     assert rem.is_zero()
     offsets = set()
     for point in [(0, 0, 0), (1, -2, 3), (Fraction(1, 2), Fraction(1, 4), -1)]:
-        rep = trace_point(quotient, point, t_grid(20))
+        rep = trace_fit(quotient, point, t_grid(20))
         assert rep.conic_class is ConicClass.CIRCLE
         offsets.add(tuple(m - x for m, x in zip(rep.mean, point)))
     assert len(offsets) == 1

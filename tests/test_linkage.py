@@ -29,6 +29,7 @@ from darboux7r import (
     simulate,
     substructure_report,
     t_grid,
+    trace_fit,
     trace_point,
     transform_axis,
 )
@@ -150,9 +151,7 @@ def test_parallel_groups_compare_exactly():
 
 def test_substructure_fiv():
     rep = substructure_report(linkage_fiv())
-    assert rep.has_four_bar
     assert rep.four_bar_runs == ((6, 7, 1, 2),)
-    assert rep.has_sarrus
     fixed = sorted(s.fixed_joint for s in rep.sarrus)
     assert fixed == [2, 6]
     for s in rep.sarrus:
@@ -162,8 +161,8 @@ def test_substructure_fiv():
 def test_substructure_absent_elsewhere():
     for l in (linkage_fi_fii(), linkage_fi_fiii()):
         rep = substructure_report(l)
-        assert not rep.has_four_bar
-        assert not rep.has_sarrus
+        assert rep.four_bar_runs == ()
+        assert rep.sarrus == ()
 
 
 def test_mobility_dofs():
@@ -293,7 +292,7 @@ def test_trace_fixed_point_degenerate():
     root = -q3.coeff(0)
     ax = root.axis()
     pt = ax.point_nearest_origin()
-    rep = trace_point(single, tuple(float(v) for v in pt), t_grid(12))
+    rep = trace_fit(single, tuple(float(v) for v in pt), t_grid(12))
     assert rep.conic_class is ConicClass.DEGENERATE
 
 
@@ -303,7 +302,7 @@ def test_orbit_that_is_no_conic_over_t2_plus_1_raises():
     g = MotionPoly.t_minus(dq(0, 2, 0, 0))  # norm t^2 + 4
     for poly, degree in ((h, 2), (h * g, 4)):
         with pytest.raises(KinematicsError, match=f"reduced degree {degree}$"):
-            trace_point(poly, (1, 2, 3), t_grid(4))
+            trace_fit(poly, (1, 2, 3), t_grid(4))
 
 
 small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))

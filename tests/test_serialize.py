@@ -62,10 +62,12 @@ def test_realpoly_to_json_rejects_a_coefficient_that_is_not_real():
             serialize.realpoly_to_json(poly)
 
 
-def test_axis_round_trip():
+def test_axis_json_format():
     ax = AxisLine((Fraction(1, 2), 0, 1), (2, Fraction(-3, 7), Fraction(-1, 4)))
-    back = serialize.axis_from_json(serialize.axis_to_json(ax))
-    assert back == ax
+    assert serialize.axis_to_json(ax) == {
+        "direction": ["1/2", "0", "1"],
+        "moment": ["2", "-3/7", "-1/4"],
+    }
 
 
 def test_factorization_round_trip_is_json_stable():
