@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import serialize, svgplot
 from ._numpy import np
 from .darboux import (
+    FIV_PARAMS,
+    FIV_XY,
     DarbouxParams,
     Factorization,
     factor_fi,
@@ -40,6 +42,7 @@ from .darboux import (
 )
 from .errors import KinematicsError, NotRotational, SingularChoice
 from .linkage import (
+    RANK_RTOL,
     Linkage,
     build_linkage,
     mobility_at,
@@ -92,7 +95,7 @@ def _point3(text: str) -> Tuple[Scalar, Scalar, Scalar]:
 
 # Values of the parameter flags that are not given; at these FI+FIII is
 # the FIV loop.  The flags default to None so verify can tell them apart.
-PARAM_DEFAULTS = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(0), "x": Fraction(0), "y": Fraction(0)}
+PARAM_DEFAULTS = dict(zip("abcxy", map(Fraction, (FIV_PARAMS.a, FIV_PARAMS.b, FIV_PARAMS.c, *FIV_XY))))
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -388,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(p, default_samples=10)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the default generic samples (ignored with --t-min/--t-max)")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative rank tolerance")
+    p.add_argument("--tol", type=float, default=RANK_RTOL, help="relative rank tolerance")
     _add_output_flags(p, ["json", "csv"])
     p.set_defaults(func=cmd_mobility)
 

@@ -66,18 +66,18 @@ class TrajectoryReport:
 def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, Vec3]:
     """Exact (M, U, V) with the orbit of point under poly M + U cos(phi) + V sin(phi).
 
+    The orbit is poly*(1 - eps*x)*poly~, poly~ the tilde of each coefficient.
     A float coordinate or coefficient is taken as the binary rational it
     is.  Raises KinematicsError when the orbit does not reduce to a
     quadratic over t^2 + 1, naming the degree it reduces to.
     """
     x, y, z = (Fraction(v) for v in point)
-    coeffs = [[Fraction(v) for v in h] for h in poly.coeffs]
+    coeffs = [DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in poly.coeffs]
     moved = DualQuaternion.from_coeffs((1, 0, 0, 0, 0, -x, -y, -z))
-    tilde = [(h[0], -h[1], -h[2], -h[3], -h[4], h[5], h[6], h[7]) for h in coeffs]
     orbit, _ = integral_product([
-        MotionPoly(tuple(map(DualQuaternion.from_coeffs, coeffs))),
+        MotionPoly(tuple(coeffs)),
         MotionPoly.constant(moved),
-        MotionPoly(tuple(map(DualQuaternion.from_coeffs, tilde))),
+        MotionPoly(tuple(h.tilde() for h in coeffs)),
     ])
     while orbit.degree > 2:
         quot, rem = orbit.divmod_right(t_squared_plus_one())

@@ -61,6 +61,9 @@ class DarbouxParams:
             )
 
 
+FIV_PARAMS, FIV_XY = DarbouxParams(1, 2, 0), (0, 0)
+
+
 def darboux_c(p: DarbouxParams) -> MotionPoly:
     """Cubic motion polynomial of the motion, monic in t.
 
@@ -151,7 +154,7 @@ class Factorization:
                 f" at free_xy ({xy[0]}, {xy[1]})"
             )
         p = self.params
-        if self.label == "FIV" and ((p.a, p.b, p.c), xy) != ((1, 2, 0), (0, 0)):
+        if self.label == "FIV" and (p, xy) != (FIV_PARAMS, FIV_XY):
             raise NotRotational("is the instance (a, b, c, x, y) = (1, 2, 0, 0, 0) only")
         return tuple(axes)
 
@@ -216,7 +219,7 @@ def factor_fii(p: DarbouxParams) -> Factorization:
     )
 
 
-def factor_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization:
+def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     """Four rotations with a doubled two-parameter last factor.
 
     Q'7 Q'6 Q'5 Q'4^2 = (t^2+1) C with Q'4 = t - k - x eps i - y eps j free in
@@ -259,12 +262,12 @@ def factor_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization
 
 def factor_fiv() -> Factorization:
     """Anchor instance of FIII at (a, b, c, x, y) = (1, 2, 0, 0, 0)."""
-    return replace(factor_fiii(DarbouxParams(1, 2, 0)), label="FIV")
+    return replace(factor_fiii(FIV_PARAMS, *FIV_XY), label="FIV")
 
 
 def fiv_companion_fi() -> Factorization:
     """The FI side closing the 7R loop with factor_fiv()."""
-    return factor_fi(DarbouxParams(1, 2, 0))
+    return factor_fi(FIV_PARAMS)
 
 
 def _exact_quotient(num: MotionPoly, den: MotionPoly) -> MotionPoly:
@@ -345,7 +348,7 @@ def derive_fi(p: DarbouxParams) -> Factorization:
     return Factorization("FI", p, _circular_split(darboux_c(p), Q_K), ONE_POLY)
 
 
-def derive_fiii(p: DarbouxParams, x: Scalar = 0, y: Scalar = 0) -> Factorization:
+def derive_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     """Reconstruct FIII from scratch for a given free choice (x, y).
 
     (t^2+1) C is divided by the doubled factor (remainder must vanish),

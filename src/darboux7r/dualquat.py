@@ -4,8 +4,9 @@ A dual quaternion h = p + eps*d is stored as a primal quaternion p and a
 dual quaternion part d, with eps^2 = 0 and eps commuting with everything.
 Conjugation negates the six i, j, k coefficients (of both parts); the
 norm h * conj(h) is then a dual number (n0, n1).  Elements with real
-norm (n1 = 0) and nonzero primal part act on points of projective
-3-space and represent rigid displacements.
+norm (n1 = 0) and nonzero primal part are rigid displacements: they move
+a line (a rotation root g) to h*g*conj(h)/n0 and a point of projective
+3-space, X = x0 - eps*(x1*i + x2*j + x3*k), to h*X*tilde(h)/n0.
 
 Coefficients are either exact rationals (int / Fraction) or floats; all
 formulas are polynomial except for a few divisions routed through
@@ -23,15 +24,15 @@ scalar.  .p, .d and .w/.x/.y/.z read the parts.
 
 One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
 quaternion products inside DualQuaternion.__mul__.  The float64 array
-kernel at the end of the module (dq_mul_many, act_many,
-conjugate_many; motionpoly.poses_many builds on it) evaluates many
+kernel at the end of the module (dq_mul_many, conjugate_many for both
+sandwiches; motionpoly.poses_many builds on it) evaluates many
 parameter values at once.  It repeats the scalar formulas on (..., 8)
 arrays and gives the scalar float lane's values bit for bit (a NaN's
-sign aside, which IEEE 754 leaves open), and it keeps the preconditions
-of act.  Its cost on short grids is the number of numpy calls, so _qmul
-adds one gathered term of a per step, four steps for all four
-components, and dq_mul_many runs its three quaternion products as one
-batch of _qmul.  Each component still adds _hamilton's terms in
+sign aside, which IEEE 754 leaves open), and conjugate_many keeps the
+preconditions of act.  Its cost on short grids is the number of numpy
+calls, so _qmul adds one gathered term of a per step, four steps for all
+four components, and dq_mul_many runs its three quaternion products as
+one batch of _qmul.  Each component still adds _hamilton's terms in
 _hamilton's order: IEEE 754 defines x - y as x + (-y), and a * (-b) is
 -(a * b) exactly, so the gathered, signed terms round as the scalar ones.
 """
@@ -213,6 +214,11 @@ class DualQuaternion(_Coeffs):
         h0, h1, h2, h3, h4, h5, h6, h7 = self
         return _tuple(DualQuaternion, (h0, -h1, -h2, -h3, h4, -h5, -h6, -h7))
 
+    def tilde(self) -> "DualQuaternion":
+        """conj(p) - eps*conj(d), the conjugate that moves points (see act)."""
+        h0, h1, h2, h3, h4, h5, h6, h7 = self
+        return _tuple(DualQuaternion, (h0, -h1, -h2, -h3, -h4, h5, h6, h7))
+
     def norm(self) -> Tuple[Scalar, Scalar]:
         """Dual number h * conj(h) as a pair (real part, dual part)."""
         p, d = self[:4], self[4:]
@@ -255,8 +261,8 @@ class DualQuaternion(_Coeffs):
     def act(self, point: Sequence[Scalar]) -> Tuple[Scalar, ...]:
         """Apply the displacement to a projective point [x0, x1, x2, x3].
 
-        The image is (p*x*conj(p) + x0*(p*conj(d) - d*conj(p))) / (p*conj(p))
-        with x = x1*i + x2*j + x3*k; the homogeneous coordinate is preserved.
+        The image of X = x0 - eps*(x1*i + x2*j + x3*k) is minus the dual
+        vector of self * X * self.tilde() over n0 = p*conj(p); x0 is kept.
         Requires a real norm and a nonzero primal part.
         """
         if not self.invertible():
@@ -265,14 +271,10 @@ class DualQuaternion(_Coeffs):
             raise NotADisplacement("norm has a nonzero dual part")
         if len(point) != 4:
             raise ValueError("expected a projective 4-vector")
-        x0 = point[0]
-        xq = Quaternion(0, point[1], point[2], point[3])
-        p, d = self.p, self.d
-        rotated = p * xq * p.conj()
-        translated = p * d.conj() - d * p.conj()
-        y = rotated + translated.scale(x0)
-        n0 = p.norm()
-        return (x0, sdiv(y.x, n0), sdiv(y.y, n0), sdiv(y.z, n0))
+        x0, x1, x2, x3 = point
+        y = self * _tuple(DualQuaternion, (x0, 0, 0, 0, 0, -x1, -x2, -x3)) * self.tilde()
+        n0 = self.p.norm()
+        return (x0, sdiv(-y[5], n0), sdiv(-y[6], n0), sdiv(-y[7], n0))
 
     def classify(self) -> DisplacementKind:
         """Sort displacements into identity / rotation / translation / general.
@@ -400,8 +402,8 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
 # float64 rows, so importing this module runs no numpy.
 
 DQ_ONE_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-_CONJ = (1.0, -1.0, -1.0, -1.0)
-_CONJ8 = _CONJ + _CONJ
+CONJ_ROW = (1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0)
+TILDE_ROW = (1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 
 # Term k of _hamilton's component c is a[k] * b[_PERM[k][c]] * _SIGN[k][c].
 _PERM = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -443,31 +445,13 @@ def _displacement_norms(h: np.ndarray) -> np.ndarray:
     return n0
 
 
-def act_many(h, points) -> np.ndarray:
-    """Images of projective points under displacement rows, as DualQuaternion.act (and its errors)."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(points, dtype=float)
-    if x.shape[-1] != 4:
-        raise ValueError("expected projective 4-vectors")
-    n0 = _displacement_norms(h)
-    p, d = h[..., :4], h[..., 4:]
-    x0 = x[..., :1]
-    xq = np.concatenate((np.zeros_like(x0), x[..., 1:]), axis=-1)
-    pc = p * _CONJ
-    rotated = _qmul(_qmul(p, xq), pc)
-    translated = _qmul(p, d * _CONJ) - _qmul(d, pc)
-    y = rotated + translated * x0
-    image = y[..., 1:] / n0[..., None]
-    return np.concatenate((np.broadcast_to(x0, image.shape[:-1] + (1,)), image), axis=-1)
+def conjugate_many(h, g, conj) -> np.ndarray:
+    """Rows h*g*c(h)/n0(h), as (h * g * c(h)) / h.p.norm(), c = conj or tilde by its sign row.
 
-
-def conjugate_many(h, g) -> np.ndarray:
-    """Rows h*g*conj(h)/n0(h), as (h * g * h.conj()) divided by h.p.norm().
-
-    For a rotation root g this is the root whose axis is g's axis moved
-    by the displacement h, the conjugation of linkage.axes_at.  Raises
-    as _displacement_norms on a row of h that is not a displacement.
+    CONJ_ROW moves a rotation root g's axis by h, as linkage.axes_at;
+    TILDE_ROW moves a point row x0 - eps*x to x0 - eps*(its image), as
+    act.  Raises as _displacement_norms on a row of h that is no displacement.
     """
     h = np.asarray(h, dtype=float)
     n0 = _displacement_norms(h)
-    return dq_mul_many(dq_mul_many(h, g), h * _CONJ8) / n0[..., None]
+    return dq_mul_many(dq_mul_many(h, np.asarray(g, dtype=float)), h * conj) / n0[..., None]

@@ -39,6 +39,7 @@ from ._numpy import np
 from .darboux import Factorization
 from .dualquat import (
     AxisLine,
+    CONJ_ROW,
     DQ_ONE,
     DualQuaternion,
     _dot,
@@ -203,7 +204,7 @@ def _axes_from_poses(linkage: Linkage, poses_a, poses_b, roots: np.ndarray) -> n
     """World axis rows [direction, moment] of every joint, shape (N, n, 6), as axes_at."""
     offset = poses_a.shape[1]
     pick = [j.factor_indices[0] + (0 if j.chain == "A" else offset) for j in linkage.joints]
-    x = conjugate_many(np.concatenate((poses_a, poses_b), axis=1)[:, pick], roots)
+    x = conjugate_many(np.concatenate((poses_a, poses_b), axis=1)[:, pick], roots, CONJ_ROW)
     return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)  # -(v/n0) is (-v)/n0
 
 

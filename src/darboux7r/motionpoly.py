@@ -33,7 +33,9 @@ from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
-from .dualquat import DQ_ONE, DQ_ONE_ROW, DualQuaternion, act_many, dq_mul_many, viszero
+from .dualquat import (
+    DQ_ONE, DQ_ONE_ROW, TILDE_ROW, DualQuaternion, conjugate_many, dq_mul_many, viszero
+)
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact, sdiv
 
@@ -135,9 +137,10 @@ class MotionPoly:
         return acc
 
     def orbit(self, point: Sequence[Scalar], ts: Sequence[Scalar]) -> np.ndarray:
-        """Float64 images of a point under the motion at every t, shape (len(ts), 3)."""
+        """Float64 images of a point under the motion at every t, as act, shape (len(ts), 3)."""
+        x, y, z = map(float, point)
         values = _horner_many(_coeff_array([self.coeffs]), ts)[:, 0]
-        return act_many(values, [1.0, *map(float, point)])[:, 1:]
+        return -conjugate_many(values, (1.0, 0.0, 0.0, 0.0, 0.0, -x, -y, -z), TILDE_ROW)[:, 5:]
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
         """Right evaluation: sum of coeffs[k] * h^k with powers on the right.

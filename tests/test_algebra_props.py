@@ -113,6 +113,8 @@ def test_product_is_associative(a, b, c):
 @given(dual_quaternions, dual_quaternions)
 def test_conjugate_reverses_products(h, g):
     assert (h * g).conj() == g.conj() * h.conj()
+    # The point conjugate too, so the point sandwich h*X*h~ composes.
+    assert (h * g).tilde() == g.tilde() * h.tilde()
 
 
 @EXAMPLES

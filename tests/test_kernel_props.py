@@ -20,10 +20,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from darboux7r import DualQuaternion, MotionPoly, NotADisplacement, ZeroPrimal  # noqa: E402
 from darboux7r.dualquat import (  # noqa: E402
+    CONJ_ROW,
     DQ_ONE,
+    TILDE_ROW,
     Quaternion,
     _qmul,
-    act_many,
     conjugate_many,
     dq_mul_many,
     ray_gap,
@@ -47,14 +48,6 @@ def displacements(draw) -> DualQuaternion:
 special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
 float_quaternions = st.builds(Quaternion, *[special_floats] * 4)
 float_dual_quaternions = st.builds(DualQuaternion, float_quaternions, float_quaternions)
-# Rows that may or may not be displacements: zero primal parts, non-real
-# norms, and float rows with signed zeros, infinities and NaNs among them.
-any_rows = (
-    displacements()
-    | dual_quaternions
-    | st.builds(DualQuaternion, st.just(Quaternion(0, 0, 0, 0)), quaternions)
-    | float_dual_quaternions
-)
 
 
 def row(h: DualQuaternion) -> np.ndarray:
@@ -154,10 +147,16 @@ def test_chains_walked_together_repeat_each_walk_alone(a, b, ts):
             assert np.array_equal(poses[i], np.array(walk))
 
 
+def act_rows(h, x: np.ndarray) -> np.ndarray:
+    """DualQuaternion.act on rows h: the point sandwich of conjugate_many with TILDE_ROW."""
+    y = conjugate_many(h, (x[0], 0, 0, 0, 0, -x[1], -x[2], -x[3]), TILDE_ROW)
+    return np.concatenate((np.broadcast_to(x[:1], y.shape[:-1] + (1,)), -y[..., 5:]), axis=-1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(displacements(), points)
 def test_act_repeats_scalar_act(h, x):
-    batched = act_many(row(h), floats(x))
+    batched = act_rows(row(h), floats(x))
     assert np.array_equal(batched, floats(h.to_float().act(tuple(float(v) for v in x))))
     assert close(batched, floats(h.act(x)))
 
@@ -171,7 +170,7 @@ def scalar_outcome(h: DualQuaternion, x):
 
 def batched_outcome(h: DualQuaternion, x):
     try:
-        return act_many(row(h), floats(x))
+        return act_rows(row(h), floats(x))
     except (ZeroPrimal, NotADisplacement) as exc:
         return type(exc)
 
@@ -208,14 +207,14 @@ def test_one_bad_sample_fails_the_batch(hs, k, x):
     rows = np.array([row(h) for h in hs])
     rows[k % len(hs)] = np.nan
     with pytest.raises(NotADisplacement):
-        act_many(rows, floats(x))
+        act_rows(rows, floats(x))
     with pytest.raises(NotADisplacement):
-        conjugate_many(rows, row(hs[0]))
+        conjugate_many(rows, row(hs[0]), CONJ_ROW)
     rows[k % len(hs)] = 0.0
     with pytest.raises(ZeroPrimal):
-        act_many(rows, floats(x))
+        act_rows(rows, floats(x))
     with pytest.raises(ZeroPrimal):
-        conjugate_many(rows, row(hs[0]))
+        conjugate_many(rows, row(hs[0]), CONJ_ROW)
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,29 +224,13 @@ def test_conjugation_repeats_scalar_conjugation(h, g):
     x = f * g.to_float() * f.conj()
     scalar = floats(v / f.p.norm() for v in x.coeffs())
     with np.errstate(all="ignore"):
-        batched = conjugate_many(row(h), row(g))
+        batched = conjugate_many(row(h), row(g), CONJ_ROW)
     assert np.array_equal(batched, scalar, equal_nan=True)
     numbers = ~np.isnan(scalar)
     assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
     if not g.is_float():
         exact = h * g * h.conj()
         assert close(batched, floats(v / h.p.norm() for v in exact.coeffs()))
-
-
-def error_of(kernel, *args):
-    try:
-        with np.errstate(all="ignore"):
-            kernel(*args)
-    except (ZeroPrimal, NotADisplacement) as exc:
-        return type(exc)
-    return None
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(any_rows, min_size=1, max_size=4), dual_quaternions)
-def test_conjugation_fails_like_act(hs, g):
-    rows = np.array([row(h) for h in hs])
-    assert error_of(conjugate_many, rows, row(g)) is error_of(act_many, rows, floats((1, 0, 0, 0)))
 
 
 @settings(max_examples=100, deadline=None)
