@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 from .dualquat import (
     DQ_ONE,
     AxisLine,
+    DisplacementKind,
     DualQuaternion,
     Q_K,
     Q_ZERO,
@@ -41,9 +42,9 @@ from .dualquat import (
     vcross,
     vdot,
 )
-from .errors import DegenerateParams, NotADivisor, NotARotation, NotRotational, SingularChoice
+from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
 from .motionpoly import MotionPoly, ONE_POLY, poly_product, t_squared_plus_one
-from .scalars import Scalar, sdiv
+from .scalars import Scalar, cleared, sdiv
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,15 @@ def darboux_c(p: DarbouxParams) -> MotionPoly:
 
     C = t^3 - (k - eps(a j - b k)) t^2 + (1 - eps(b + a i - c k)) t - k + c eps
     """
-    a, b, c = p.a, p.b, p.c
+    a, b, c, d = cleared(p.a, p.b, p.c)  # built as its integral form d*C
     return MotionPoly(
         (
-            DualQuaternion(Quaternion(0, 0, 0, -1), Quaternion(c, 0, 0, 0)),
-            DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(-b, -a, 0, c)),
-            DualQuaternion(Quaternion(0, 0, 0, -1), Quaternion(0, 0, a, -b)),
-            DQ_ONE,
+            DualQuaternion(Quaternion(0, 0, 0, -d), Quaternion(c, 0, 0, 0)),
+            DualQuaternion(Quaternion(d, 0, 0, 0), Quaternion(-b, -a, 0, c)),
+            DualQuaternion(Quaternion(0, 0, 0, -d), Quaternion(0, 0, a, -b)),
+            DualQuaternion(Quaternion(d, 0, 0, 0), Q_ZERO),
         )
-    )
+    ).over(d)
 
 
 # Factor count and doubled-factor pairs of each family: FI has three
@@ -116,17 +117,18 @@ class Factorization:
         the factor count and pairs must be those of the label's family.
         FI and FII have no free_xy; for FIII and FIV the doubled last
         factor is t - k - x eps i - y eps j at free_xy = (x, y), and FIV is
-        the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).  The axes come
-        from the one rotation test of each root.
+        the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).  Each root gets one
+        rotation test, and its axis is the one h.axis() gives.
         """
         axes = []
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
                 raise NotRotational(f"factor {k} is not monic linear")
-            try:
-                axes.append((-f.coeff(0)).axis())
-            except NotARotation:
-                raise NotRotational(f"factor {k} root is not a rotation quaternion") from None
+            # Tested on the root d*h of f's integral form (d > 0), which runs on ints.
+            if (-f.integral()[0].coeff(0)).classify() is not DisplacementKind.ROTATION:
+                raise NotRotational(f"factor {k} root is not a rotation quaternion")
+            h = -f.coeff(0)  # the axis of h, as h.axis() gives it
+            axes.append(AxisLine(h[1:4], (-h[5], -h[6], -h[7])))
         n = len(self.factors)
         for i, j in self.identical_adjacent:
             if not (0 <= i and j == i + 1 < n and self.factors[i] == self.factors[j]):
@@ -168,55 +170,36 @@ def factor_fi(p: DarbouxParams) -> Factorization:
 
     Q1 Q2 is the unique circular-translation quadratic left factor whose
     second rotation axis direction is the unit vector E; Q3 rotates about
-    a vertical axis.
+    a vertical axis.  The closed forms of FI, FII and FIII run on the
+    parameters cleared of their common denominator d (scalars.cleared).
     """
-    a, b, c = p.a, p.b, p.c
+    a, b, c, d = cleared(p.a, p.b, p.c)
     n = a * a + b * b + c * c
-    e = Quaternion(
-        0, sdiv(2 * a * c, n), sdiv(2 * a * b, n), sdiv(a * a - b * b - c * c, n)
-    )
-    u1 = Quaternion(
-        0, -sdiv(b * c, a), sdiv(a * a + c * c - b * b, 2 * a), -b
-    )
+    e = Quaternion(0, sdiv(2 * a * c, n), sdiv(2 * a * b, n), sdiv(a * a - b * b - c * c, n))
+    v = -sdiv(b * c, a * d)
+    u1 = Quaternion(0, v, sdiv(a * a + c * c - b * b, 2 * a * d), sdiv(-b, d))
     q1 = MotionPoly((DualQuaternion(e, u1), DQ_ONE))
     q2 = MotionPoly.t_minus(DualQuaternion(e, Q_ZERO))
-    q3 = MotionPoly.t_minus(
-        DualQuaternion(
-            Q_K,
-            Quaternion(0, -sdiv(b * c, a), -sdiv(a * a + b * b - c * c, 2 * a), 0),
-        )
-    )
+    w = -sdiv(a * a + b * b - c * c, 2 * a * d)
+    q3 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, v, w, 0)))
     return Factorization("FI", p, (q1, q2, q3), ONE_POLY)
 
 
 def factor_fii(p: DarbouxParams) -> Factorization:
-    """Four rotations with the doubled factor in the middle: Q7 Q6^2 Q5 Q4 = (t^2+1) C."""
-    a, b, c = p.a, p.b, p.c
-    q7 = MotionPoly(
-        (
-            DualQuaternion(
-                Quaternion(0, 1, 0, 0), Quaternion(0, 0, sdiv(a + c, 2), -sdiv(b, 2))
-            ),
-            DQ_ONE,
-        )
+    """Four rotations with the doubled factor in the middle: Q7 Q6^2 Q5 Q4 = (t^2+1) C.
+
+    Q7 and Q5 are t + i + eps((a + c)/2 j - b/2 k) and the same with -c.
+    """
+    a, b, c, d = cleared(p.a, p.b, p.c)
+    i, e = Quaternion(0, 1, 0, 0), 2 * d
+    q7, q5 = (
+        MotionPoly((DualQuaternion(i, Quaternion(0, 0, sdiv(a + s, e), sdiv(-b, e))), DQ_ONE))
+        for s in (c, -c)
     )
-    q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, 1, 0, 0), Q_ZERO))
-    q5 = MotionPoly(
-        (
-            DualQuaternion(
-                Quaternion(0, 1, 0, 0), Quaternion(0, 0, sdiv(a - c, 2), -sdiv(b, 2))
-            ),
-            DQ_ONE,
-        )
-    )
+    q6 = MotionPoly.t_minus(DualQuaternion(i, Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Q_ZERO))
-    return Factorization(
-        "FII",
-        p,
-        (q7, q6, q6, q5, q4),
-        t_squared_plus_one(),
-        identical_adjacent=((1, 2),),
-    )
+    cofactor = t_squared_plus_one()
+    return Factorization("FII", p, (q7, q6, q6, q5, q4), cofactor, identical_adjacent=((1, 2),))
 
 
 def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
@@ -227,36 +210,28 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     closed form; Q'7 is always produced by exact division (its closed form
     is reconstructed rather than transcribed).
     """
-    a, b, c = p.a, p.b, p.c
-    t_ = a + 2 * y
-    den1 = t_ * t_ + 4 * x * x
+    a, b, c, xd, yd, d = cleared(p.a, p.b, p.c, x, y)
+    t_ = a + 2 * yd
+    den1 = t_ * t_ + 4 * xd * xd  # d^2 times (a + 2y)^2 + 4x^2
     den2 = b * b + c * c + den1
     if den1 == 0 or den2 == 0:
         raise SingularChoice("free parameters x, y hit a vanishing denominator")
-    ai = sdiv(b * b * x - a * b * c - 2 * b * c * y - c * c * x, den1) + x
-    aj = (
-        sdiv(a * b * b - a * c * c + 2 * b * b * y + 4 * b * c * x - 2 * c * c * y, 2 * den1)
-        + sdiv(a, 2)
-        + y
+    ai = sdiv(b * b * xd - a * b * c - 2 * b * c * yd - c * c * xd + xd * den1, d * den1)
+    aj = sdiv(
+        a * b * b - a * c * c + 2 * b * b * yd + 4 * b * c * xd - 2 * c * c * yd + t_ * den1,
+        2 * d * den1,
     )
-    q5 = MotionPoly(
-        (DualQuaternion(Q_K, Quaternion(0, ai, aj, 0)), DQ_ONE)
-    )
-    bi = sdiv(2 * (a * c - 2 * b * x + 2 * c * y), den2)
-    bj = sdiv(2 * (a * b + 2 * b * y + 2 * c * x), den2)
-    bk = sdiv(t_ * t_ - b * b - c * c + 4 * x * x, den2)
+    q5 = MotionPoly((DualQuaternion(Q_K, Quaternion(0, ai, aj, 0)), DQ_ONE))
+    bi = sdiv(2 * (a * c - 2 * b * xd + 2 * c * yd), den2)
+    bj = sdiv(2 * (a * b + 2 * b * yd + 2 * c * xd), den2)
+    bk = sdiv(t_ * t_ - b * b - c * c + 4 * xd * xd, den2)
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     cofactor = t_squared_plus_one()
     pc = poly_product((darboux_c(p), cofactor))
     q7 = _exact_quotient(pc, poly_product((q6, q5, q4, q4)))
     return Factorization(
-        "FIII",
-        p,
-        (q7, q6, q5, q4, q4),
-        cofactor,
-        free_xy=(x, y),
-        identical_adjacent=((3, 4),),
+        "FIII", p, (q7, q6, q5, q4, q4), cofactor, free_xy=(x, y), identical_adjacent=((3, 4),)
     )
 
 
@@ -287,10 +262,9 @@ def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
 
     q = t^2 + eps d1 t + (1 + eps d0); the unique pure-primal right root is
     u = (d1 x d0) / |d1|^2, a unit vector exactly when the translation is
-    circular.
+    circular.  It is read on q's integral form, which scales d1 and d0 alike.
     """
-    d1 = q.coeff(1).d.vector
-    d0 = q.coeff(0).d.vector
+    d1, d0 = (q.integral()[0].coeff(k).d.vector for k in (1, 0))
     n2 = vdot(d1, d1)
     if n2 == 0:
         raise SingularChoice("translation quadratic has no rotational factor")
@@ -315,13 +289,16 @@ def _circular_split(
 
     Every such h is a right zero of cubic; the two circularity conditions
     on the quotient by t - h are affine in (s, u), so three probe
-    divisions at (0,0), (1,0), (0,1) pin them.  The quotient at the
+    divisions at (0,0), (1,0), (0,1) pin them.  They divide d*cubic, its
+    integral form, by monic int divisors: in ints, the conditions times d^2
+    have the same zeros and the same solution.  The quotient at the
     solution must meet both conditions exactly, else ValueError; it is
     then split at its pure-primal root.
     """
+    scaled = cubic.integral()[0]
     probes = (DualQuaternion(primal, Quaternion(0, s, u, 0)) for s, u in ((0, 0), (1, 0), (0, 1)))
     (f00, g00), (f10, g10), (f01, g01) = (
-        _circularity(_exact_quotient(cubic, MotionPoly.t_minus(h))) for h in probes
+        _circularity(_exact_quotient(scaled, MotionPoly.t_minus(h))) for h in probes
     )
     fu, fv = f10 - f00, f01 - f00
     gu, gv = g10 - g00, g01 - g00
@@ -331,7 +308,7 @@ def _circular_split(
     s, u = sdiv(fv * g00 - f00 * gv, det), sdiv(f00 * gu - fu * g00, det)
     last = MotionPoly.t_minus(DualQuaternion(primal, Quaternion(0, s, u, 0)))
     quot = _exact_quotient(cubic, last)
-    if _circularity(quot) != (0, 0):
+    if _circularity(quot.integral()[0]) != (0, 0):
         raise ValueError("system is not affine in the unknowns")
     return (*_split_circular_quadratic(quot), last)
 

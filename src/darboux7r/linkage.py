@@ -42,6 +42,7 @@ from .dualquat import (
     CONJ_ROW,
     DQ_ONE,
     DualQuaternion,
+    _displacement_norms,
     _dot,
     conjugate_many,
     projectively_equal,
@@ -200,18 +201,23 @@ def _root_rows(linkage: Linkage) -> np.ndarray:
     return _coeff_array([[j.root for j in linkage.joints]])[0]
 
 
-def _axes_from_poses(linkage: Linkage, poses_a, poses_b, roots: np.ndarray) -> np.ndarray:
-    """World axis rows [direction, moment] of every joint, shape (N, n, 6), as axes_at."""
+def _joint_poses(linkage: Linkage, poses_a, poses_b) -> np.ndarray:
+    """Each joint's link pose rows from both chains' poses, shape (N, n, 8)."""
     offset = poses_a.shape[1]
     pick = [j.factor_indices[0] + (0 if j.chain == "A" else offset) for j in linkage.joints]
-    x = conjugate_many(np.concatenate((poses_a, poses_b), axis=1)[:, pick], roots, CONJ_ROW)
+    return np.concatenate((poses_a, poses_b), axis=1)[:, pick]
+
+
+def _axes_from_poses(joint_poses: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """World axis rows [direction, moment] of every joint, shape (N, n, 6), as axes_at."""
+    x = conjugate_many(joint_poses, roots, CONJ_ROW)
     return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)  # -(v/n0) is (-v)/n0
 
 
 def axes_many(linkage: Linkage, ts: Sequence[Scalar]) -> np.ndarray:
     """Float64 axes_at for every t: rows [direction, moment], shape (len(ts), n, 6)."""
-    poses_a, poses_b = _both_chains_many(linkage, ts)
-    return _axes_from_poses(linkage, poses_a, poses_b, _root_rows(linkage))
+    poses = _joint_poses(linkage, *_both_chains_many(linkage, ts))
+    return _axes_from_poses(poses, _root_rows(linkage))
 
 
 def _unit_screws(axes: np.ndarray) -> np.ndarray:
@@ -339,16 +345,22 @@ class Samples:
     """Simulated configurations of the closed loop as float64 arrays, N samples.
 
     t (N,), angles (N, n), poses_a / poses_b the link poses of each chain
-    (N, k + 1, 8), axes the joint axes (N, n, 6) as direction then moment,
-    closure_residual (N,).
+    (N, k + 1, 8), closure_residual (N,); axes, the joint axes (N, n, 6) as
+    direction then moment, formed from joint_poses (N, n, 8) and roots (n, 8)
+    on first read.
     """
 
     t: np.ndarray
     angles: np.ndarray
     poses_a: np.ndarray
     poses_b: np.ndarray
-    axes: np.ndarray
     closure_residual: np.ndarray
+    joint_poses: np.ndarray
+    roots: np.ndarray
+
+    @cached_property
+    def axes(self) -> np.ndarray:
+        return _axes_from_poses(self.joint_poses, self.roots)
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
@@ -362,15 +374,11 @@ def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64)."""
     poses_a, poses_b = _both_chains_many(linkage, ts)
     roots = _root_rows(linkage)
-    mult = [j.multiplicity for j in linkage.joints]
-    return Samples(
-        t=np.asarray(ts, dtype=float),
-        angles=mult * _angles(roots, ts),
-        poses_a=poses_a,
-        poses_b=poses_b,
-        axes=_axes_from_poses(linkage, poses_a, poses_b, roots),
-        closure_residual=ray_gap(poses_a[:, -1], poses_b[:, -1]),
-    )
+    angles = [j.multiplicity for j in linkage.joints] * _angles(roots, ts)
+    joint_poses = _joint_poses(linkage, poses_a, poses_b)
+    _displacement_norms(joint_poses)  # what forming the axes would refuse, read or not
+    residual = ray_gap(poses_a[:, -1], poses_b[:, -1])
+    return Samples(np.asarray(ts, float), angles, poses_a, poses_b, residual, joint_poses, roots)
 
 
 def trace_point(

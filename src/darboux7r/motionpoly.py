@@ -10,17 +10,18 @@ factors t - h.  A real polynomial, such as a cofactor or a quadratic
 factor of a norm polynomial, is a MotionPoly with real coefficients
 (MotionPoly.real); they are central, so it commutes with every MotionPoly.
 
-Exact polynomials clear their denominators in one place: the integral
-form (d*P, d) of MotionPoly.integral has int coefficients, d the lcm of
-the denominators.  poly_product multiplies integral forms and divides by
-the product of the scales once; divmod_right pseudo-divides integral
-forms by the norm of the divisor's leading coefficient; and
-factorization_residual compares integral polynomials with their scales
-cross-multiplied.  So the Fraction arithmetic of these routines happens
-once per result coefficient, and every exact identity is still decided
-with zero tolerance.  A float or symbolic polynomial is its own integral
-form with scale 1, so it is multiplied, and divided by the inverse of the
-leading coefficient, in plain scalar arithmetic.
+Exact polynomials run on ints: the integral form (d*P, d) of
+MotionPoly.integral has int coefficients, d the lcm of the denominators,
+and is derived once and kept on P.  poly_product multiplies integral
+forms, divmod_right pseudo-divides them, and factorization_residual
+compares them with their scales cross-multiplied.  The results of
+products and divisions are made by over from their integral forms, which
+the next product or division reads; their Fraction coefficients are
+formed only when read, once each.  An exact real coefficient (of a
+cofactor, or d of a monic factor's form) scales its partner instead of a
+full product.  A float or symbolic polynomial is its own integral form
+with scale 1, multiplied and divided (by the inverse of the leading
+coefficient) in plain scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
 from .dualquat import (
-    DQ_ONE, DQ_ONE_ROW, TILDE_ROW, DualQuaternion, conjugate_many, dq_mul_many, viszero
+    DQ_ONE, DQ_ONE_ROW, TILDE_ROW, DualQuaternion, _tuple, conjugate_many, dq_mul_many, viszero
 )
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact, sdiv
@@ -114,9 +115,12 @@ class MotionPoly:
                 return MotionPoly(())
             zero = DualQuaternion.from_scalar(0)
             out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+            exact = _value_types((self, other)) <= _EXACT_TYPES
+            right = list(zip(other.coeffs, _real_parts(other.coeffs, exact)))
+            for i, (a, ra) in enumerate(zip(self.coeffs, _real_parts(self.coeffs, exact))):
+                for j, (b, rb) in enumerate(right):
+                    if ra != 0 and rb != 0:  # an exact zero adds nothing
+                        out[i + j] = out[i + j] + _times(a, ra, b, rb)
             return MotionPoly(tuple(out))
         if isinstance(other, (int, float)) or is_exact(other):
             return MotionPoly(tuple(c.scale(other) for c in self.coeffs))
@@ -167,26 +171,25 @@ class MotionPoly:
         ints, and Q and R are divided by the accumulated scale once.  They
         are the unique quotient and remainder either way.
         """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not divisor.leading.invertible():
-            raise NonInvertibleLeader(
-                "divisor's leading coefficient has zero primal part"
-            )
         forms = _integral_forms((self, divisor))
-        if forms is None:
-            (num, num_scale), (den, den_scale) = (self, 1), (divisor, 1)
-            lead_adj, m = divisor.leading.inverse(), 1
-        else:
-            (num, num_scale), (den, den_scale) = forms
-            n0, n1 = den.leading.norm()
-            c = den.leading.conj()
-            adj = DualQuaternion(c.p.scale(n0), c.d.scale(n0) - c.p.scale(n1)).coeffs()
+        exact = forms is not None
+        (num, num_scale), (den, den_scale) = forms or ((self, 1), (divisor, 1))
+        if den.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead = den.leading
+        if not lead.invertible():
+            raise NonInvertibleLeader("divisor's leading coefficient has zero primal part")
+        if exact:
+            n0, n1 = lead.norm()
+            c = lead.conj()
+            adj = DualQuaternion(c.p.scale(n0), c.d.scale(n0) - c.p.scale(n1))
             g = math.gcd(n0 * n0, *adj)
-            adj, m = [v // g for v in adj], n0 * n0 // g
-            # A real leading coefficient reduces adj to 1.
-            lead_adj = None if adj == _ONE_COEFFS else DualQuaternion.from_coeffs(adj)
-        dn = divisor.degree
+            adj, m = _tuple(DualQuaternion, [v // g for v in adj]), n0 * n0 // g
+        else:
+            adj, m = lead.inverse(), 1
+        (ra,) = _real_parts([adj], exact)  # a real L reduces adj to +-1
+        dn = den.degree
+        lower = list(zip(den.coeffs, _real_parts(den.coeffs, exact)))[:dn]
         steps = max(0, len(num.coeffs) - dn)
         rem = list(num.coeffs) if m == 1 else [h.scale(m**steps) for h in num.coeffs]
         quot = [DualQuaternion.from_scalar(0)] * steps
@@ -195,13 +198,14 @@ class MotionPoly:
         while len(rem) - 1 >= dn:
             k = len(rem) - 1 - dn
             qk = rem.pop()
-            if lead_adj is not None:
-                qk = qk * lead_adj
+            if ra != 1:
+                qk = _times(qk, None, adj, ra)
             if m != 1:
-                qk = DualQuaternion.from_coeffs([v // m for v in qk.coeffs()])
+                qk = _tuple(DualQuaternion, [v // m for v in qk])
             quot[k] = qk
-            for i in range(dn):
-                rem[i + k] = rem[i + k] - qk * den.coeffs[i]
+            for i, (h, r) in enumerate(lower):
+                if r != 0:
+                    rem[i + k] = rem[i + k] - _times(qk, None, h, r)
         # m^steps * num_scale * self = quot * divisor * den_scale + rem
         scale = m**steps * num_scale
         return (MotionPoly(tuple(quot)) * den_scale).over(scale), MotionPoly(tuple(rem)).over(scale)
@@ -226,25 +230,43 @@ class MotionPoly:
         """Integral form (d*self, d): int coefficients, d the lcm of their denominators.
 
         A polynomial with a float or symbolic coefficient is its own
-        integral form (self, 1).
+        integral form (self, 1).  The form is derived once and kept.
         """
         forms = _integral_forms((self,))
         return (self, 1) if forms is None else forms[0]
 
     def over(self, d: int) -> "MotionPoly":
-        """self / d for int coefficients and an int d > 0; each becomes Fraction(n, d) once.
+        """self / d for int coefficients and an int d > 0, made from its integral form.
 
-        d = 1 returns self, so float and symbolic integral forms pass through.
+        That form, (self, d) divided by their gcd, is kept, and each
+        coefficient becomes Fraction(n, d) on the first read of coeffs.  With
+        d = 1 it is self, so float and symbolic integral forms pass through.
         """
         if d == 1:
             return self
+        g = math.gcd(d, *[v for c in self.coeffs for v in c])
+        q, d = self, d // g
+        if g > 1:
+            q = MotionPoly(tuple([_tuple(DualQuaternion, [v // g for v in c]) for c in q.coeffs]))
+        if d == 1:
+            return q
+        out = object.__new__(MotionPoly)
+        object.__setattr__(out, "_form", (q, d))
+        return out
+
+    def __getattr__(self, name: str):
+        # Only a polynomial made by over lacks coeffs until they are read.
+        if name != "coeffs" or "_form" not in self.__dict__:
+            raise AttributeError(f"'MotionPoly' object has no attribute {name!r}")
+        q, d = self._form
         # Lists, here and in _integral_forms: tuple() and f(*...) of a
         # generator resize the tuple they build, which fills CPython's
         # per-size tuple free lists and so raises peak memory.
-        return MotionPoly(tuple([
-            DualQuaternion.from_coeffs([Fraction(v, d) if v else 0 for v in c.coeffs()])
-            for c in self.coeffs
-        ]))
+        coeffs = tuple([
+            _tuple(DualQuaternion, [Fraction(v, d) if v else 0 for v in c]) for c in q.coeffs
+        ])
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
 
 def t_squared_plus_one() -> MotionPoly:
@@ -255,20 +277,45 @@ ONE_POLY = MotionPoly.real((1,))
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
-_ONE_COEFFS = [1, 0, 0, 0, 0, 0, 0, 0]
+_ZERO7 = (0,) * 7
+
+
+def _value_types(polys: Sequence[MotionPoly]) -> set:
+    return set(map(type, chain.from_iterable(chain.from_iterable(p.coeffs for p in polys))))
+
+
+def _real_parts(coeffs: Sequence[DualQuaternion], exact: bool) -> List[Optional[Scalar]]:
+    """The scalar part of each real coefficient, None for the others and for all if not exact."""
+    return [h[0] if exact and h[1:] == _ZERO7 else None for h in coeffs]
+
+
+def _times(a: DualQuaternion, ra, b: DualQuaternion, rb) -> DualQuaternion:
+    """a * b given their _real_parts: a real one scales the other (floats have none)."""
+    if rb is not None:
+        return a.scale(rb)
+    return b.scale(ra) if ra is not None else a * b
 
 
 def _integral_forms(polys: Sequence[MotionPoly]) -> Optional[List[Tuple[MotionPoly, int]]]:
-    """Integral forms of polys, or None if any coefficient is not an int or a Fraction."""
-    values = [[v for c in p.coeffs for v in c.coeffs()] for p in polys]
-    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(values))):
-        return None
+    """Integral forms of polys, or None if any coefficient is not an int or a Fraction.
+
+    An int polynomial is its own form; another is kept on it, as over keeps it.
+    """
     forms = []
-    for row in values:
-        d = math.lcm(*[v.denominator for v in row])
-        ints = [v.numerator * (d // v.denominator) for v in row]
-        coeffs = [DualQuaternion.from_coeffs(ints[i:i + 8]) for i in range(0, len(ints), 8)]
-        forms.append((MotionPoly(tuple(coeffs)), d))
+    for p in polys:
+        if "_form" not in p.__dict__:
+            types = _value_types((p,))
+            if not types <= _EXACT_TYPES:
+                return None
+            if Fraction not in types:
+                forms.append((p, 1))
+                continue
+            values = [v for c in p.coeffs for v in c]
+            d = math.lcm(*[v.denominator for v in values])
+            ints = [v.numerator * (d // v.denominator) for v in values]
+            rows = [_tuple(DualQuaternion, ints[i:i + 8]) for i in range(0, len(ints), 8)]
+            object.__setattr__(p, "_form", (MotionPoly(tuple(rows)), d))
+        forms.append(p._form)
     return forms
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from .errors import KinematicsError
 
@@ -26,8 +26,16 @@ def is_exact(x: Scalar) -> bool:
 def sdiv(x: Scalar, y: Scalar) -> Scalar:
     """Divide two scalars, staying exact when both operands are exact."""
     if is_exact(x) and is_exact(y):
-        return Fraction(x) / Fraction(y)
+        return Fraction(x, y)
     return x / y
+
+
+def cleared(*values: Scalar) -> Tuple[Scalar, ...]:
+    """Each value times d, then d: ints, d the lcm of the denominators; else (*values, 1)."""
+    if not all(map(is_exact, values)):
+        return (*values, 1)
+    d = math.lcm(*[v.denominator for v in values])
+    return (*[v.numerator * (d // v.denominator) for v in values], d)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -289,3 +289,54 @@ def test_fi_product_evaluates_to_c_pointwise():
         f = factor_fi(p)
         t = rational(rng)
         assert projectively_equal(f.product().eval(t), darboux_c(p).eval(t))
+
+
+# Rounding of the float closed forms: each coefficient within this relative
+# tolerance of the float value of the exact one (a few ulps of their size).
+FLOAT_CLOSED_FORM_RTOL = 1e-13
+
+
+def test_float_closed_forms_round_the_exact_factors():
+    rng = random.Random(36)
+    for _ in range(20):
+        p = random_params(rng)
+        pf = DarbouxParams(float(p.a), float(p.b), float(p.c))
+        for build in (factor_fi, factor_fii):
+            exact, approx = build(p).factors, build(pf).factors
+            assert len(exact) == len(approx)
+            for fe, fa in zip(exact, approx):
+                want = [float(v) for h in fe.coeffs for v in h]
+                got = [v for h in fa.coeffs for v in h]
+                size = max(map(abs, want))
+                assert all(type(v) in (int, float) for v in got)
+                assert all(abs(g - w) <= FLOAT_CLOSED_FORM_RTOL * size for g, w in zip(got, want))
+
+
+def test_symbolic_fi_is_its_printed_formula():
+    sympy = pytest.importorskip("sympy")
+    a, b, c = sympy.symbols("a b c")
+    q1, q2, q3 = factor_fi(DarbouxParams(a, b, c)).factors
+    n = "(a**2 + b**2 + c**2)"
+    assert [str(v) for v in q1.coeff(0)] == [
+        "0", f"2*a*c/{n}", f"2*a*b/{n}", f"(a**2 - b**2 - c**2)/{n}",
+        "0", "-b*c/a", "(a**2 - b**2 + c**2)/(2*a)", "-b",
+    ]
+    assert [str(v) for v in q2.coeff(0)] == [
+        "0", f"-2*a*c/{n}", f"-2*a*b/{n}", f"-(a**2 - b**2 - c**2)/{n}", "0", "0", "0", "0",
+    ]
+    assert [str(v) for v in q3.coeff(0)] == [
+        "0", "0", "0", "-1", "0", "b*c/a", "(a**2 + b**2 - c**2)/(2*a)", "0",
+    ]
+    assert q1.leading == q2.leading == q3.leading == DualQuaternion.from_scalar(1)
+
+
+def test_fiii_is_the_same_for_int_and_fraction_parameters():
+    # Int parameters share the common denominator 1 with Fractions of
+    # denominator 1; both give the same factors, printed the same.
+    for a, b, c, x, y in [(1, 2, 0, 0, 0), (3, -1, 2, 1, -2), (2, 5, -3, 4, 1), (-1, 0, 7, 0, 3)]:
+        ints = factor_fiii(DarbouxParams(a, b, c), x, y)
+        fracs = factor_fiii(DarbouxParams(*map(Fraction, (a, b, c))), Fraction(x), Fraction(y))
+        assert ints.factors == fracs.factors
+        assert [str(v) for f in ints.factors for h in f.coeffs for v in h] == [
+            str(v) for f in fracs.factors for h in f.coeffs for v in h
+        ]

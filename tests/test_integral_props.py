@@ -1,11 +1,13 @@
 """Property tests: exact products, right division and residuals in integral form.
 
 poly_product, divmod_right and factorization_residual clear denominators
-once and run on ints.  On random rational polynomials they must give
-what plain Fraction arithmetic gives, written out here as the reference
-(the left-to-right product and the synthetic division by the inverse of
-the leading coefficient).  On float polynomials they must give the same
-reference formulas' values bit for bit.
+once and run on ints, and an exact real coefficient scales its partner.
+On random rational polynomials, real ones (t^2 + 1, constants, real
+divisors) among them, they must give what plain Fraction arithmetic
+gives, written out here as the reference (the left-to-right product and
+the synthetic division by the inverse of the leading coefficient).  On
+float polynomials they must give the same reference formulas' values
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from hypothesis import strategies as st  # noqa: E402
 from darboux7r import DarbouxParams, DualQuaternion, MotionPoly, SingularChoice  # noqa: E402
 from darboux7r.cli import FAMILIES, build_family  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion  # noqa: E402
-from darboux7r.motionpoly import factorization_residual, poly_product  # noqa: E402
+from darboux7r.motionpoly import (  # noqa: E402
+    factorization_residual, poly_product, t_squared_plus_one
+)
 from darboux7r.scalars import is_exact  # noqa: E402
 
 ZERO = DualQuaternion.from_scalar(0)
@@ -36,6 +40,14 @@ quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
 dual_quaternions = st.builds(DualQuaternion, quaternions, quaternions)
 motion_polys = st.lists(dual_quaternions, max_size=4).map(lambda cs: MotionPoly(tuple(cs)))
 params = st.builds(DarbouxParams, nonzero, rationals, rationals)
+# Real polynomials, which take the scaling path: t^2 + 1, real constants,
+# and real coefficients with zeros among them.
+real_polys = (
+    st.just(t_squared_plus_one())
+    | nonzero.map(lambda v: MotionPoly.real((v,)))
+    | st.lists(rationals, min_size=1, max_size=4).map(MotionPoly.real)
+)
+real_divisors = real_polys.filter(lambda d: not d.is_zero())
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -102,19 +114,22 @@ def test_integral_form_has_int_coefficients_and_divides_back(p):
 
 
 @EXAMPLES
-@given(st.lists(motion_polys, max_size=4))
+@given(st.lists(motion_polys | real_polys, max_size=4))
 def test_poly_product_is_the_fraction_product(factors):
     product = poly_product(factors)
     assert product == reference_product(factors)
     assert all(is_exact(v) for v in values(product))
 
 
-@pytest.mark.parametrize("kind", LEADERS)
+DIVISORS = {kind: divisors(kind) for kind in LEADERS} | {"real polynomial": real_divisors}
+
+
+@pytest.mark.parametrize("kind", DIVISORS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_divmod_right_is_the_fraction_division(kind, data):
-    c = data.draw(motion_polys)
-    d = data.draw(divisors(kind))
+    c = data.draw(motion_polys | real_polys)
+    d = data.draw(DIVISORS[kind])
     q, r = c.divmod_right(d)
     assert q * d + r == c
     assert r.degree < d.degree
@@ -172,14 +187,32 @@ def bits(p: MotionPoly):
     return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v) for v in values(p)]
 
 
+float_reals = st.lists(floats, min_size=1, max_size=3).map(MotionPoly.real)
+exact_reals = st.sampled_from([t_squared_plus_one(), MotionPoly.real((2,)), MotionPoly.real((0, 3))])
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(float_polys, max_size=4), float_polys, st.lists(float_dqs, max_size=2),
+@given(st.lists(float_polys | float_reals | exact_reals, max_size=4), float_polys,
+       st.lists(float_dqs, max_size=2),
        st.sampled_from([DQ_ONE, DQ_ONE.to_float()]))
 def test_float_product_and_monic_division_repeat_the_reference_bit_for_bit(
     factors, c, lower, lead
 ):
     assert bits(poly_product(factors)) == bits(reference_product(factors))
     d = MotionPoly((*lower, lead))
+    q, r = c.divmod_right(d)
+    q_ref, r_ref = reference_divmod(c, d)
+    assert bits(q) == bits(q_ref)
+    assert bits(r) == bits(r_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_polys | float_reals,
+       # A leading coefficient whose square is not a subnormal float.
+       (float_reals | exact_reals).filter(lambda d: not d.is_zero() and abs(d.leading[0]) > 1e-6))
+def test_float_division_by_a_real_polynomial_repeats_the_reference_bit_for_bit(c, d):
+    # A float operand keeps the full product: a real coefficient scaling
+    # it instead could differ in a zero's sign or in nan against inf.
     q, r = c.divmod_right(d)
     q_ref, r_ref = reference_divmod(c, d)
     assert bits(q) == bits(q_ref)
