@@ -51,7 +51,6 @@ from .linkage import (
     substructure_report,
     trace_point,
 )
-from .motionpoly import factorization_residual
 from .scalars import Scalar, format_scalar, parse_scalar
 
 # Factorization families by label: the parameter flags a family uses and
@@ -180,7 +179,7 @@ def cmd_factor(args) -> int:
 
 def _check(f: Factorization) -> Tuple[Optional[str], Scalar]:
     """Failure message (None on success) and identity residual of one factorization."""
-    residual = factorization_residual(f.factors, f.target(), f.cofactor)
+    residual = f.residual()
     try:
         f.check_rotation_chain()
     except NotRotational as exc:

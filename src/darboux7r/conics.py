@@ -33,7 +33,7 @@ from ._numpy import np
 from .dualquat import DualQuaternion, Vec3, vcross, vdot, viszero
 from .errors import KinematicsError
 from .motionpoly import MotionPoly, integral_product, t_squared_plus_one
-from .scalars import Scalar
+from .scalars import Scalar, cleared
 
 
 class ConicClass(Enum):
@@ -71,13 +71,15 @@ def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, 
     is.  Raises KinematicsError when the orbit does not reduce to a
     quadratic over t^2 + 1, naming the degree it reduces to.
     """
-    x, y, z = (Fraction(v) for v in point)
-    coeffs = [DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in poly.coeffs]
-    moved = DualQuaternion.from_coeffs((1, 0, 0, 0, 0, -x, -y, -z))
+    if poly.is_float():
+        rows = [DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in poly.coeffs]
+        poly = MotionPoly(tuple(rows))
+    scaled = poly.integral()[0]  # its scale, like the point's d, cancels in M, U and V
+    x, y, z, d = cleared(*map(Fraction, point))
     orbit, _ = integral_product([
-        MotionPoly(tuple(coeffs)),
-        MotionPoly.constant(moved),
-        MotionPoly(tuple(h.tilde() for h in coeffs)),
+        scaled,
+        MotionPoly.constant(DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z))),
+        MotionPoly(tuple([h.tilde() for h in scaled.coeffs])),
     ])
     while orbit.degree > 2:
         quot, rem = orbit.divmod_right(t_squared_plus_one())

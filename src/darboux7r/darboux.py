@@ -22,13 +22,15 @@ same motion yields closed 7R linkages (see linkage.py).
 
 FI exists because C / Q3 is a circular translation.  derive_fi and
 derive_fiii decide that condition exactly (_circular_split) and find
-their factors by it; nothing here fits floats.
+their factors by it; nothing here fits floats.  factor_fiii divides
+nothing: its Q'7 follows from the sum of the roots, checked exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .dualquat import (
@@ -43,7 +45,9 @@ from .dualquat import (
     vdot,
 )
 from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
-from .motionpoly import MotionPoly, ONE_POLY, poly_product, t_squared_plus_one
+from .motionpoly import (
+    MotionPoly, ONE_POLY, forms_residual, integral_product, poly_product, t_squared_plus_one
+)
 from .scalars import Scalar, cleared, sdiv
 
 
@@ -103,11 +107,25 @@ class Factorization:
     free_xy: Optional[Tuple[Scalar, Scalar]] = None
     identical_adjacent: Tuple[Tuple[int, int], ...] = ()
 
+    @cached_property
+    def product_form(self) -> Tuple[MotionPoly, int]:
+        """Integral form (d*P, d) of P = product(), formed on first use and kept."""
+        return integral_product(self.factors)
+
+    @cached_property
+    def target_form(self) -> Tuple[MotionPoly, int]:
+        """Integral form of cofactor * target(), formed on first use and kept."""
+        return integral_product((self.cofactor, self.target()))
+
     def product(self) -> MotionPoly:
-        return poly_product(self.factors)
+        return MotionPoly.over(*self.product_form)
 
     def target(self) -> MotionPoly:
         return darboux_c(self.params)
+
+    def residual(self) -> Scalar:
+        """Largest |coefficient| of product() - cofactor * target(); zero exactly when equal."""
+        return forms_residual(self.product_form, self.target_form)
 
     def check_rotation_chain(self) -> Tuple[AxisLine, ...]:
         """The factors' root axes; raise NotRotational unless they can form a revolute chain.
@@ -207,8 +225,9 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
 
     Q'7 Q'6 Q'5 Q'4^2 = (t^2+1) C with Q'4 = t - k - x eps i - y eps j free in
     (x, y) away from the singular denominators.  Q'5 and Q'6 follow in
-    closed form; Q'7 is always produced by exact division (its closed form
-    is reconstructed rather than transcribed).
+    closed form; Q'7 = t - h7 from the t^4 coefficients: the sum of the
+    roots, h7 + h6 + h5 + 2 h4 = -c2 for C's t^2 coefficient c2.  Then the
+    identity is checked exactly on the kept forms, else NotADivisor.
     """
     a, b, c, xd, yd, d = cleared(p.a, p.b, p.c, x, y)
     t_ = a + 2 * yd
@@ -227,12 +246,12 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     bk = sdiv(t_ * t_ - b * b - c * c + 4 * xd * xd, den2)
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
-    cofactor = t_squared_plus_one()
-    pc = poly_product((darboux_c(p), cofactor))
-    q7 = _exact_quotient(pc, poly_product((q6, q5, q4, q4)))
-    return Factorization(
-        "FIII", p, (q7, q6, q5, q4, q4), cofactor, free_xy=(x, y), identical_adjacent=((3, 4),)
-    )
+    g4, g5, g6 = (q.coeff(0) for q in (q4, q5, q6))  # g = -h for the root h
+    q7 = MotionPoly((darboux_c(p).coeff(2) - g6 - g5 - g4 - g4, DQ_ONE))
+    f = Factorization("FIII", p, (q7, q6, q5, q4, q4), t_squared_plus_one(), (x, y), ((3, 4),))
+    if f.residual() != 0:
+        raise NotADivisor("Q'7 Q'6 Q'5 Q'4^2 differs from (t^2+1) C")
+    return f
 
 
 def factor_fiv() -> Factorization:

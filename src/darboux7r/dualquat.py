@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Sequence, Tuple
 
 from ._numpy import np
@@ -105,10 +105,14 @@ class _Coeffs(tuple):
         return _tuple(type(self), [c * s for c in self])
 
     def __add__(self, other):
-        return _tuple(type(self), [a + b for a, b in zip(self, other, strict=True)])
+        if len(self) != len(other):
+            raise ValueError(f"cannot add {len(other)} coefficients to {len(self)}")
+        return _tuple(type(self), list(map(add, self, other)))
 
     def __sub__(self, other):
-        return _tuple(type(self), [a - b for a, b in zip(self, other, strict=True)])
+        if len(self) != len(other):
+            raise ValueError(f"cannot subtract {len(other)} coefficients from {len(self)}")
+        return _tuple(type(self), list(map(sub, self, other)))
 
     def __neg__(self):
         return _tuple(type(self), [-c for c in self])

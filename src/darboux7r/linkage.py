@@ -49,7 +49,7 @@ from .dualquat import (
     ray_gap,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
-from .motionpoly import MotionPoly, _coeff_array, integral_product, poses_many
+from .motionpoly import MotionPoly, _coeff_array, poses_many
 from .scalars import Scalar, is_exact, sdiv
 
 RANK_RTOL = 1e-8
@@ -73,8 +73,8 @@ class Joint:
 class Linkage:
     """Closed loop of two chains; build it with build_linkage.
 
-    product_a is the exact product of chain A's factors, which
-    build_linkage forms for the closure check; the closure certificate,
+    product_a is the exact product of chain A's factors, made from the
+    form its Factorization keeps for the closure check; the closure certificate,
     coupler traces and plot overlays reuse it.  home_axes forms the exact
     t = 0 axes on its first call and keeps them.
     """
@@ -126,13 +126,12 @@ def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
     A pair of identical chains closes trivially but has zero relative
     motion; it is flagged degenerate rather than rejected.
     """
-    # Compared in integral form: product(f) = prod_f / d_f.
-    prod_a, da = integral_product(fa.factors)
-    prod_b, db = integral_product(fb.factors)
+    # Compared on the kept integral forms: product(f) = prod_f / d_f.
+    (prod_a, da), (prod_b, db) = fa.product_form, fb.product_form
     if prod_a * fb.cofactor * db != prod_b * fa.cofactor * da:
         raise ClosureFailure("chains do not parameterize the same motion")
     joints = tuple(_chain_joints(fa, "A") + list(reversed(_chain_joints(fb, "B"))))
-    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=prod_a.over(da))
+    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=fa.product())
 
 
 def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:

@@ -13,15 +13,16 @@ factor of a norm polynomial, is a MotionPoly with real coefficients
 Exact polynomials run on ints: the integral form (d*P, d) of
 MotionPoly.integral has int coefficients, d the lcm of the denominators,
 and is derived once and kept on P.  poly_product multiplies integral
-forms, divmod_right pseudo-divides them, and factorization_residual
-compares them with their scales cross-multiplied.  The results of
+forms, divmod_right pseudo-divides them, and forms_residual compares two
+with their scales cross-multiplied.  The results of
 products and divisions are made by over from their integral forms, which
 the next product or division reads; their Fraction coefficients are
 formed only when read, once each.  An exact real coefficient (of a
 cofactor, or d of a monic factor's form) scales its partner instead of a
-full product.  A float or symbolic polynomial is its own integral form
-with scale 1, multiplied and divided (by the inverse of the leading
-coefficient) in plain scalar arithmetic.
+full product, and exact sums start from their first term.  A float or
+symbolic polynomial is its own integral form with scale 1, multiplied
+and divided (by the inverse of the leading coefficient) in plain scalar
+arithmetic, with sums started from zero, as 0 + -0.0 is 0.0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
@@ -114,14 +114,15 @@ class MotionPoly:
             if self.is_zero() or other.is_zero():
                 return MotionPoly(())
             zero = DualQuaternion.from_scalar(0)
-            out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
             exact = _value_types((self, other)) <= _EXACT_TYPES
+            out = [None if exact else zero] * (len(self.coeffs) + len(other.coeffs) - 1)
             right = list(zip(other.coeffs, _real_parts(other.coeffs, exact)))
             for i, (a, ra) in enumerate(zip(self.coeffs, _real_parts(self.coeffs, exact))):
                 for j, (b, rb) in enumerate(right):
                     if ra != 0 and rb != 0:  # an exact zero adds nothing
-                        out[i + j] = out[i + j] + _times(a, ra, b, rb)
-            return MotionPoly(tuple(out))
+                        term, acc = _times(a, ra, b, rb), out[i + j]
+                        out[i + j] = term if acc is None else acc + term
+            return MotionPoly(tuple([zero if h is None else h for h in out]))
         if isinstance(other, (int, float)) or is_exact(other):
             return MotionPoly(tuple(c.scale(other) for c in self.coeffs))
         return NotImplemented
@@ -166,7 +167,8 @@ class MotionPoly:
         Exact operands are pseudo-divided in integral form.  The divisor's
         leading coefficient L has the central norm L*conj(L) = n0 + eps*n1,
         so adj = conj(L)*(n0 - eps*n1) satisfies adj*L = n0^2 =: m (both
-        reduced by their gcd).  After scaling the dividend by m^steps,
+        reduced by their gcd); a real L = r, as for a monic divisor, gives
+        adj = sign(r) and m = |r| at once.  After scaling the dividend by m^steps,
         every quotient term rem_top*adj/m is integral, so the loop runs on
         ints, and Q and R are divided by the accumulated scale once.  They
         are the unique quotient and remainder either way.
@@ -179,7 +181,9 @@ class MotionPoly:
         lead = den.leading
         if not lead.invertible():
             raise NonInvertibleLeader("divisor's leading coefficient has zero primal part")
-        if exact:
+        if exact and lead[1:] == _ZERO7:  # a real leader r: adj = sign(r), m = |r|
+            adj, m = DualQuaternion.from_scalar(1 if lead[0] > 0 else -1), abs(lead[0])
+        elif exact:
             n0, n1 = lead.norm()
             c = lead.conj()
             adj = DualQuaternion(c.p.scale(n0), c.d.scale(n0) - c.p.scale(n1))
@@ -208,7 +212,8 @@ class MotionPoly:
                     rem[i + k] = rem[i + k] - _times(qk, None, h, r)
         # m^steps * num_scale * self = quot * divisor * den_scale + rem
         scale = m**steps * num_scale
-        return (MotionPoly(tuple(quot)) * den_scale).over(scale), MotionPoly(tuple(rem)).over(scale)
+        quot = MotionPoly(tuple(quot if den_scale == 1 else [h.scale(den_scale) for h in quot]))
+        return quot.over(scale), MotionPoly(tuple(rem)).over(scale)
 
     def is_motion_polynomial(self) -> bool:
         """Invertible leading coefficient and a real norm polynomial."""
@@ -281,7 +286,7 @@ _ZERO7 = (0,) * 7
 
 
 def _value_types(polys: Sequence[MotionPoly]) -> set:
-    return set(map(type, chain.from_iterable(chain.from_iterable(p.coeffs for p in polys))))
+    return {type(v) for p in polys for h in p.coeffs for v in h}
 
 
 def _real_parts(coeffs: Sequence[DualQuaternion], exact: bool) -> List[Optional[Scalar]]:
@@ -429,14 +434,11 @@ def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:
     return h
 
 
-def factorization_residual(
-    factors: Sequence[MotionPoly], target: MotionPoly, cofactor: MotionPoly
-) -> Scalar:
-    """Largest |coefficient| of product(factors) - cofactor * target.
+def forms_residual(left: Tuple[MotionPoly, int], right: Tuple[MotionPoly, int]) -> Scalar:
+    """Largest |coefficient| of P/dP - C/dC, given the integral forms (P, dP) and (C, dC).
 
-    With product(factors) = P/dP and cofactor * target = C/dC in integral
-    form this is max |P*dC - C*dP| / (dP*dC), divided once.
+    That is max |P*dC - C*dP| / (dP*dC), divided once.
     """
-    (p, dp), (c, dc) = integral_product(factors), integral_product((cofactor, target))
+    (p, dp), (c, dc) = left, right
     diff = p * dc - c * dp
     return sdiv(max((abs(v) for h in diff.coeffs for v in h.coeffs()), default=0), dp * dc)

@@ -95,7 +95,7 @@ def test_c03_fiii_product_exact_and_transcription_matches_division():
     P = t_squared_plus_one()
     for _ in range(100):
         p, x, y = random_fiii_args(rng)
-        f = factor_fiii(p, x, y)  # its leftmost factor comes from exact division
+        f = factor_fiii(p, x, y)  # its leftmost factor comes from the sum of the roots
         assert f.product() == P * darboux_c(p)
         d = derive_fiii(p, x, y)  # everything re-derived by division + conditions
         assert f.factors[1] == d.factors[1]  # transcribed middle factors agree

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from darboux7r import (
     DegenerateParams,
     DualQuaternion,
     MotionPoly,
+    NotADivisor,
     SingularChoice,
+    build_linkage,
     darboux_c,
     derive_fi,
     derive_fiii,
@@ -28,7 +32,7 @@ from darboux7r import (
     t_grid,
     trace_fit,
 )
-from darboux7r import darboux
+from darboux7r import cli, conics, darboux, linkage, motionpoly, serialize
 from darboux7r.conics import ConicClass
 from darboux7r.dualquat import Q_K, Q_ZERO, Quaternion
 
@@ -340,3 +344,64 @@ def test_fiii_is_the_same_for_int_and_fraction_parameters():
         assert [str(v) for f in ints.factors for h in f.coeffs for v in h] == [
             str(v) for f in fracs.factors for h in f.coeffs for v in h
         ]
+
+
+def quotient_fiii(f) -> MotionPoly:
+    """Q'7 by exact right division: (t^2+1) C over Q'6 Q'5 Q'4^2."""
+    pc = poly_product((darboux_c(f.params), t_squared_plus_one()))
+    return darboux._exact_quotient(pc, poly_product(f.factors[1:]))
+
+
+def test_fiii_sum_of_roots_factor_is_the_division_quotient():
+    # factor_fiii forms Q'7 = t - h7 with h7 = -c2 - h6 - h5 - 2 h4; division
+    # by the other four factors must give the same polynomial.
+    rng = random.Random(31)
+    cases = [factor_fiii(*random_fiii_args(rng)) for _ in range(200)] + [factor_fiv()]
+    for f in cases:
+        assert f.factors[0] == quotient_fiii(f)
+
+
+def test_fiii_refuses_a_cubic_its_factors_do_not_multiply_to(monkeypatch):
+    # The sum of the roots reads only C's t^2 coefficient; a C changed in its
+    # constant term keeps that coefficient, so only the identity check sees it.
+    p = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
+    bent = darboux_c(p) + MotionPoly.constant(dq(h5=1))
+    assert bent.coeff(2) == darboux_c(p).coeff(2)
+    factor_fiii(p, Fraction(1, 3), Fraction(-2, 7))
+    monkeypatch.setattr(darboux, "darboux_c", lambda params: bent)
+    with pytest.raises(NotADivisor):
+        factor_fiii(p, Fraction(1, 3), Fraction(-2, 7))
+
+
+def test_one_loop_and_its_verification_form_each_product_once(monkeypatch):
+    # factor_fiii's identity check, build_linkage's closure check and verify's
+    # residual all read each factorization's kept integral forms.
+    formed = []
+    integral_product = motionpoly.integral_product
+
+    def counting(factors):
+        formed.append(tuple(factors))
+        return integral_product(factors)
+
+    for module in (motionpoly, darboux, linkage, conics, serialize, cli):
+        if hasattr(module, "integral_product"):
+            monkeypatch.setattr(module, "integral_product", counting)
+    p = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
+    fiii = factor_fiii(p, Fraction(1, 3), Fraction(-2, 7))
+    fi = factor_fi(p)
+    loop = build_linkage(fi, fiii)
+    assert loop.product_a == fi.product()
+    for f in (fi, fiii):
+        assert cli._check(f) == (None, 0)
+        assert f.product() == f.cofactor * darboux_c(p)  # reads the kept forms
+    c = darboux_c(p)
+    assert Counter(formed) == {
+        fiii.factors: 1, (t_squared_plus_one(), c): 1, fi.factors: 1, (fi.cofactor, c): 1
+    }
+
+
+def test_verify_reports_a_product_that_differs_from_cofactor_times_c():
+    f = factor_fiii(DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5)), Fraction(1, 3), 0)
+    failure, residual = cli._check(replace(f, params=DarbouxParams(Fraction(3, 2), -1, 0)))
+    assert failure == "FIII product differs from cofactor * C"
+    assert residual != 0

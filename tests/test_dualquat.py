@@ -284,6 +284,12 @@ def test_wrong_coefficient_counts_raise():
         dq(h0=1, h7=2) + Quaternion(1, 0, 0, 0)
     with pytest.raises(ValueError):
         Quaternion(1, 0, 0, 0) - dq(h0=1, h7=2)
+    # Nor does it drop the surplus of a longer plain tuple, or pad a shorter one.
+    for other in ((1,) * 9, (1,) * 3):
+        with pytest.raises(ValueError):
+            dq(h0=1) + other
+        with pytest.raises(ValueError):
+            Quaternion(1, 0, 0, 0) - other
 
 
 def test_repr_names_the_parts():

@@ -1,6 +1,6 @@
 """Property tests: exact products, right division and residuals in integral form.
 
-poly_product, divmod_right and factorization_residual clear denominators
+poly_product, divmod_right and Factorization.residual clear denominators
 once and run on ints, and an exact real coefficient scales its partner.
 On random rational polynomials, real ones (t^2 + 1, constants, real
 divisors) among them, they must give what plain Fraction arithmetic
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from darboux7r import DarbouxParams, DualQuaternion, MotionPoly, SingularChoice  # noqa: E402
 from darboux7r.cli import FAMILIES, build_family  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion  # noqa: E402
-from darboux7r.motionpoly import (  # noqa: E402
-    factorization_residual, poly_product, t_squared_plus_one
-)
+from darboux7r.motionpoly import poly_product, t_squared_plus_one  # noqa: E402
 from darboux7r.scalars import is_exact  # noqa: E402
 
 ZERO = DualQuaternion.from_scalar(0)
@@ -164,13 +163,13 @@ def edited_factorizations(draw):
 @given(edited_factorizations())
 def test_residual_of_an_edited_factorization_is_the_fraction_residual(case):
     f, factors = case
-    residual = factorization_residual(factors, f.target(), f.cofactor)
+    residual = replace(f, factors=tuple(factors)).residual()
     diff = reference_product(factors) - reference_product([f.cofactor, f.target()])
     expected = max((abs(v) for v in values(diff)), default=0)
     assert residual == expected
     # verify prints the residual on its FAIL line with str().
     assert str(residual) == str(expected)
-    assert factorization_residual(f.factors, f.target(), f.cofactor) == 0
+    assert f.residual() == 0
 
 
 # Signed zeros often, so a change in which zeros are added or skipped shows.
@@ -204,6 +203,31 @@ def test_float_product_and_monic_division_repeat_the_reference_bit_for_bit(
     q_ref, r_ref = reference_divmod(c, d)
     assert bits(q) == bits(q_ref)
     assert bits(r) == bits(r_ref)
+
+
+def zero_start_product(a: MotionPoly, b: MotionPoly) -> MotionPoly:
+    """a * b with every coefficient sum started from the exact zero."""
+    out = [ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return MotionPoly(tuple(out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_polys | float_reals, float_polys | float_reals | exact_reals)
+def test_float_product_sums_from_zero_bit_for_bit(a, b):
+    assert bits(a * b) == bits(zero_start_product(a, b))
+    assert bits(b * a) == bits(zero_start_product(b, a))
+
+
+def test_float_product_turns_a_negative_zero_term_into_zero():
+    # 1.0 * -0.0 - 0.0 * 1.0 is -0.0, and 0 + -0.0 is 0.0: a sum started from
+    # its first term would keep the sign.
+    one, h = DQ_ONE.to_float(), DualQuaternion.from_coeffs([-0.0, 1.0] + [0.0] * 6)
+    assert math.copysign(1, (one * h)[0]) == -1
+    (w, *_), = (MotionPoly.constant(one) * MotionPoly.constant(h)).coeffs
+    assert math.copysign(1, w) == 1
 
 
 @settings(max_examples=100, deadline=None)
