@@ -29,7 +29,7 @@ nothing: its Q'7 follows from the sum of the roots, checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -46,7 +46,8 @@ from .dualquat import (
 )
 from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
 from .motionpoly import (
-    MotionPoly, ONE_POLY, forms_residual, integral_product, poly_product, t_squared_plus_one
+    MotionPoly, ONE_POLY, _integral_forms, forms_residual, integral_product, poly_product,
+    t_squared_plus_one,
 )
 from .scalars import Scalar, cleared, sdiv
 
@@ -107,25 +108,30 @@ class Factorization:
     free_xy: Optional[Tuple[Scalar, Scalar]] = None
     identical_adjacent: Tuple[Tuple[int, int], ...] = ()
 
+    # Formed on first use and kept, never as fields: ==, hash and replace see only those.
+    _target = cached_property(lambda self: darboux_c(self.params))
+    _residual = cached_property(lambda self: forms_residual(self.product_form, self.target_form))
+    _roots = cached_property(lambda self: tuple([-f.coeff(0) for f in self.factors]))
+
     @cached_property
     def product_form(self) -> Tuple[MotionPoly, int]:
-        """Integral form (d*P, d) of P = product(), formed on first use and kept."""
+        """Integral form (d*P, d) of P = product()."""
         return integral_product(self.factors)
 
     @cached_property
     def target_form(self) -> Tuple[MotionPoly, int]:
-        """Integral form of cofactor * target(), formed on first use and kept."""
+        """Integral form of cofactor * target()."""
         return integral_product((self.cofactor, self.target()))
 
     def product(self) -> MotionPoly:
         return MotionPoly.over(*self.product_form)
 
     def target(self) -> MotionPoly:
-        return darboux_c(self.params)
+        return self._target
 
     def residual(self) -> Scalar:
         """Largest |coefficient| of product() - cofactor * target(); zero exactly when equal."""
-        return forms_residual(self.product_form, self.target_form)
+        return self._residual
 
     def check_rotation_chain(self) -> Tuple[AxisLine, ...]:
         """The factors' root axes; raise NotRotational unless they can form a revolute chain.
@@ -138,14 +144,14 @@ class Factorization:
         the instance (a, b, c, x, y) = (1, 2, 0, 0, 0).  Each root gets one
         rotation test, and its axis is the one h.axis() gives.
         """
-        axes = []
+        axes, roots = [], self.roots()
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
                 raise NotRotational(f"factor {k} is not monic linear")
-            # Tested on the root d*h of f's integral form (d > 0), which runs on ints.
-            if (-f.integral()[0].coeff(0)).classify() is not DisplacementKind.ROTATION:
+            # On f's integral constant term -d*h, on ints: h's multiples classify as h.
+            if f.integral()[0].coeff(0).classify() is not DisplacementKind.ROTATION:
                 raise NotRotational(f"factor {k} root is not a rotation quaternion")
-            h = -f.coeff(0)  # the axis of h, as h.axis() gives it
+            h = roots[k]  # the axis of h, as h.axis() gives it
             axes.append(AxisLine(h[1:4], (-h[5], -h[6], -h[7])))
         n = len(self.factors)
         for i, j in self.identical_adjacent:
@@ -168,7 +174,7 @@ class Factorization:
             return tuple(axes)
         if xy is None:
             raise NotRotational("needs free_xy, a pair x, y")
-        if self.factors[-1] != MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, *xy, 0))):
+        if roots[-1] != DualQuaternion(Q_K, Quaternion(0, *xy, 0)):
             raise NotRotational(
                 "doubled last factor is not t - k - x eps i - y eps j"
                 f" at free_xy ({xy[0]}, {xy[1]})"
@@ -180,7 +186,7 @@ class Factorization:
 
     def roots(self) -> Tuple[DualQuaternion, ...]:
         """Root h of each monic linear factor t - h, in factor order."""
-        return tuple(-f.coeff(0) for f in self.factors)
+        return self._roots
 
 
 def factor_fi(p: DarbouxParams) -> Factorization:
@@ -226,9 +232,18 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     Q'7 Q'6 Q'5 Q'4^2 = (t^2+1) C with Q'4 = t - k - x eps i - y eps j free in
     (x, y) away from the singular denominators.  Q'5 and Q'6 follow in
     closed form; Q'7 = t - h7 from the t^4 coefficients: the sum of the
-    roots, h7 + h6 + h5 + 2 h4 = -c2 for C's t^2 coefficient c2.  Then the
-    identity is checked exactly on the kept forms, else NotADivisor.
+    roots, h7 + h6 + h5 + 2 h4 = -c2 for C's t^2 coefficient c2, on ints.
+    Then the identity is checked exactly on the kept forms, else NotADivisor.
     """
+    return _fiii("FIII", p, x, y)
+
+
+def factor_fiv() -> Factorization:
+    """Anchor instance of FIII at (a, b, c, x, y) = (1, 2, 0, 0, 0)."""
+    return _fiii("FIV", FIV_PARAMS, *FIV_XY)
+
+
+def _fiii(label: str, p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     a, b, c, xd, yd, d = cleared(p.a, p.b, p.c, x, y)
     t_ = a + 2 * yd
     den1 = t_ * t_ + 4 * xd * xd  # d^2 times (a + 2y)^2 + 4x^2
@@ -246,17 +261,19 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     bk = sdiv(t_ * t_ - b * b - c * c + 4 * xd * xd, den2)
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
-    g4, g5, g6 = (q.coeff(0) for q in (q4, q5, q6))  # g = -h for the root h
-    q7 = MotionPoly((darboux_c(p).coeff(2) - g6 - g5 - g4 - g4, DQ_ONE))
-    f = Factorization("FIII", p, (q7, q6, q5, q4, q4), t_squared_plus_one(), (x, y), ((3, 4),))
+    target = darboux_c(p)
+    # m*c2 and m*g for each g = -h, on ints: m a common denominator (1 if inexact)
+    forms = _integral_forms((target, q6, q5, q4)) or [(q, 1) for q in (target, q6, q5, q4)]
+    m = math.lcm(*[s for _, s in forms])
+    c2, g6, g5, g4 = (q.coeff(k).scale(m // s) for (q, s), k in zip(forms, (2, 0, 0, 0)))
+    g7 = c2 - g6 - g5 - g4 - g4
+    g7 = g7 if m == 1 else DualQuaternion.from_coeffs([sdiv(v, m) if v else 0 for v in g7])
+    q7 = MotionPoly((g7, DQ_ONE))
+    f = Factorization(label, p, (q7, q6, q5, q4, q4), t_squared_plus_one(), (x, y), ((3, 4),))
+    object.__setattr__(f, "_target", target)  # f keeps this C, built once
     if f.residual() != 0:
         raise NotADivisor("Q'7 Q'6 Q'5 Q'4^2 differs from (t^2+1) C")
     return f
-
-
-def factor_fiv() -> Factorization:
-    """Anchor instance of FIII at (a, b, c, x, y) = (1, 2, 0, 0, 0)."""
-    return replace(factor_fiii(FIV_PARAMS, *FIV_XY), label="FIV")
 
 
 def fiv_companion_fi() -> Factorization:
@@ -355,14 +372,8 @@ def derive_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     pc = poly_product((darboux_c(p), t_squared_plus_one()))
     c2 = _exact_quotient(pc, poly_product((q4, q4)))
-    return Factorization(
-        "FIII",
-        p,
-        (*_circular_split(c2, -Q_K), q4, q4),
-        t_squared_plus_one(),
-        free_xy=(x, y),
-        identical_adjacent=((3, 4),),
-    )
+    factors = (*_circular_split(c2, -Q_K), q4, q4)
+    return Factorization("FIII", p, factors, t_squared_plus_one(), (x, y), ((3, 4),))
 
 
 def t_grid(n: int) -> Tuple[float, ...]:

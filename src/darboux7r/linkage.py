@@ -113,7 +113,7 @@ def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
 def _chain_joints(f: Factorization, side: str) -> List[Joint]:
     axes = f.check_rotation_chain()
     return [
-        Joint(side, run, -f.factors[run[0]].coeff(0), axes[run[0]])
+        Joint(side, run, f.roots()[run[0]], axes[run[0]])
         for run in _runs_of_equal(f.factors)
     ]
 

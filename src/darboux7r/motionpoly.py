@@ -437,8 +437,9 @@ def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:
 def forms_residual(left: Tuple[MotionPoly, int], right: Tuple[MotionPoly, int]) -> Scalar:
     """Largest |coefficient| of P/dP - C/dC, given the integral forms (P, dP) and (C, dC).
 
-    That is max |P*dC - C*dP| / (dP*dC), divided once.
+    That is max |P*dC - C*dP| / (dP*dC), in one walk over coefficient pairs, divided once.
     """
     (p, dp), (c, dc) = left, right
-    diff = p * dc - c * dp
-    return sdiv(max((abs(v) for h in diff.coeffs for v in h.coeffs()), default=0), dp * dc)
+    pairs = (zip(p.coeff(k), c.coeff(k)) for k in range(max(len(p.coeffs), len(c.coeffs))))
+    top = max((abs(u * dc - v * dp) for row in pairs for u, v in row), default=0)
+    return sdiv(top or 0, dp * dc)  # all zero, it is the exact 0

@@ -24,11 +24,20 @@ from darboux7r import (  # noqa: E402
     Factorization,
     MalformedInput,
     MotionPoly,
+    NotRotational,
     SingularChoice,
     serialize,
 )
 from darboux7r.cli import FAMILIES, build_family, main  # noqa: E402
-from darboux7r.dualquat import DQ_ONE, Quaternion  # noqa: E402
+from darboux7r.dualquat import (  # noqa: E402
+    _FLOAT_REAL_NORM_RTOL,
+    DQ_ONE,
+    DisplacementKind,
+    Q_K,
+    Quaternion,
+    vcross,
+    vdot,
+)
 from darboux7r.scalars import is_exact  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -180,3 +189,65 @@ def test_reading_any_json_returns_or_raises_malformed_input(tmp_path_factory, do
     # verify --from-file ends in PASS, FAIL or a one-line error, never a traceback.
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["verify", "--from-file", str(path)]) in (0, 1, 2)
+
+
+@st.composite
+def rotation_test_roots(draw):
+    """Roots h on both sides of each edge of the rotation test.
+
+    Exact ones with a nonreal norm (p . d != 0), a zero primal vector or a
+    nonzero dual scalar, next to rotations (d = v x u, so p . d = 0); float
+    rotations whose dual vector is moved along v until n1 is some multiple,
+    of either sign, of the float tolerance _FLOAT_REAL_NORM_RTOL * max(1, n0).
+    """
+    vectors = st.tuples(rationals, rationals, rationals)
+    w, v, u = draw(rationals), draw(vectors), draw(vectors)
+    m, e = vcross(v, u), draw(nonzero)
+    kind = draw(st.sampled_from(["rotation", "nonreal norm", "zero vector", "dual scalar", "float"]))
+    if kind == "nonreal norm":
+        m = tuple(mi + e * vi for mi, vi in zip(m, v))
+    if kind == "zero vector":
+        v = (0, 0, 0)
+    s = e if kind == "dual scalar" else 0
+    if s and vdot(v, v):  # keep p . d = w s + v . m at zero
+        m = tuple(mi - w * s / vdot(v, v) * vi for mi, vi in zip(m, v))
+    h = DualQuaternion(Quaternion(w, *v), Quaternion(s, *m))
+    if kind != "float":
+        return h
+    h = h.to_float()
+    p, d, nv = h[:4], h[4:], vdot(h[1:4], h[1:4])
+    assume(nv > 0)
+    r = draw(st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 1e3]) | st.floats(-4, 4))
+    shift = (r * _FLOAT_REAL_NORM_RTOL * max(1.0, vdot(p, p)) / 2 - vdot(p, d)) / nv
+    return DualQuaternion(p, (d[0], *[di + shift * vi for di, vi in zip(d[1:], p[1:])]))
+
+
+def rotation_test_chain(h: DualQuaternion) -> Factorization:
+    factors = (MotionPoly.t_minus(h),) * 3
+    return Factorization("FI", DarbouxParams(1, 2, 0), factors, MotionPoly.real((1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_test_roots())
+def test_chain_rotation_test_accepts_exactly_the_rotations(h):
+    # check_rotation_chain classifies each factor's integral constant term,
+    # a nonzero multiple of -h; the verdict must be h.classify()'s.
+    f = rotation_test_chain(h)
+    if h.classify() is DisplacementKind.ROTATION:
+        assert f.check_rotation_chain() == (h.axis(),) * 3
+    else:
+        with pytest.raises(NotRotational) as exc:
+            f.check_rotation_chain()
+        assert str(exc.value) == "factor 0 root is not a rotation quaternion"
+
+
+def test_float_rotation_test_has_its_stated_tolerance():
+    # Rotation k + eps(delta k): n0 = 1, n1 = 2 delta against the 1e-9 bound.
+    cases = ((0.0, True), (4e-10, True), (-4e-10, True), (6e-10, False), (1e-6, False))
+    for delta, accepted in cases:
+        f = rotation_test_chain(DualQuaternion(Q_K, Quaternion(0.0, 0.0, 0.0, delta)))
+        if accepted:
+            assert f.check_rotation_chain()[0].moment == (0.0, 0.0, -delta)
+        else:
+            with pytest.raises(NotRotational, match="factor 0 root is not a rotation quaternion"):
+                f.check_rotation_chain()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,8 +14,10 @@ from darboux7r import (
     DarbouxParams,
     DegenerateParams,
     DualQuaternion,
+    Factorization,
     MotionPoly,
     NotADivisor,
+    NotRotational,
     SingularChoice,
     build_linkage,
     darboux_c,
@@ -405,3 +407,119 @@ def test_verify_reports_a_product_that_differs_from_cofactor_times_c():
     failure, residual = cli._check(replace(f, params=DarbouxParams(Fraction(3, 2), -1, 0)))
     assert failure == "FIII product differs from cofactor * C"
     assert residual != 0
+
+
+def test_fiv_loop_forms_each_product_once(monkeypatch):
+    # factor_fiv hands over the forms its identity check made, so the loop's
+    # closure check multiplies neither chain again.
+    formed = []
+    integral_product = motionpoly.integral_product
+
+    def counting(factors):
+        formed.append(tuple(factors))
+        return integral_product(factors)
+
+    monkeypatch.setattr(darboux, "integral_product", counting)
+    fi, fiv = fiv_companion_fi(), factor_fiv()
+    build_linkage(fi, fiv)
+    assert Counter(formed) == {
+        fiv.factors: 1, (t_squared_plus_one(), darboux_c(fiv.params)): 1, fi.factors: 1
+    }
+
+
+def test_kept_values_are_not_fields_and_replace_forms_them_anew():
+    p, x, y = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5)), Fraction(1, 3), Fraction(-2, 7)
+    f = factor_fiii(p, x, y)
+    f.check_rotation_chain()
+    names = {field.name for field in fields(Factorization)}
+    kept = set(vars(f)) - names
+    assert {"product_form", "target_form"} <= kept
+    # ==, hash and replace see the fields only.
+    g = replace(f)
+    assert set(vars(g)) == names
+    assert g == f and hash(g) == hash(f)
+    assert (g.product_form, g.target(), g.residual(), g.roots()) == (
+        f.product_form, f.target(), f.residual(), f.roots()
+    )
+    q = DarbouxParams(Fraction(3, 2), -1, 0)
+    moved = replace(f, params=q)
+    assert moved.target() == darboux_c(q) != f.target()
+    assert moved.target_form == motionpoly.integral_product((moved.cofactor, darboux_c(q)))
+    assert moved.residual() != 0 == f.residual()
+    other = factor_fiv()
+    swapped = replace(f, factors=other.factors)
+    assert swapped.product_form == other.product_form != f.product_form
+    assert swapped.roots() == other.roots()
+    assert swapped.residual() != 0
+
+
+def test_one_c_and_one_residual_per_fiii_and_per_verify(monkeypatch, capsys):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("darboux_c", "forms_residual"):
+        monkeypatch.setattr(darboux, name, counting(name, getattr(darboux, name)))
+    factor_fiii(DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5)), Fraction(1, 3), Fraction(-2, 7))
+    assert calls == {"darboux_c": 1, "forms_residual": 1}
+    calls.clear()
+    flags = ["--a", "3/2", "--b=-1", "--c", "2/5", "--x", "1/3", "--y=-2/7"]
+    assert cli.main(["verify", "--type", "FIII", *flags]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == {"darboux_c": 1, "forms_residual": 1}
+
+
+def test_a_loop_negates_each_root_once(monkeypatch):
+    p = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
+    fi, fiii = factor_fi(p), factor_fiii(p, Fraction(1, 3), Fraction(-2, 7))
+    negated = []
+    neg = DualQuaternion.__neg__
+    monkeypatch.setattr(DualQuaternion, "__neg__", lambda h: negated.append(h) or neg(h))
+    loop = build_linkage(fi, fiii)
+    # Each factor's root is negated once, in the rotation test's pass.
+    assert len(negated) == len(fi.factors) + len(fiii.factors)
+    assert [j.root for j in loop.joints] == [fi.roots()[k] for k in range(3)] + [
+        fiii.roots()[k] for k in (3, 2, 1, 0)
+    ]
+    negated.clear()
+    linkage._chain_joints(fiii, "B")
+    assert negated == []
+
+
+PARAMS_OF_MESSAGES = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
+
+
+def chains_with_faults():
+    """(factorization, message): each with the first fault check_rotation_chain
+    finds, and where it can, also faults that later checks would report."""
+    fi, fii = factor_fi(PARAMS_OF_MESSAGES), factor_fii(PARAMS_OF_MESSAGES)
+    fiii = factor_fiii(PARAMS_OF_MESSAGES, Fraction(1, 3), Fraction(-2, 7))
+    general = MotionPoly.t_minus(dq(h3=1, h4=1))  # a nonzero dual scalar part
+    q1, q2, _ = fi.factors
+    return [
+        (replace(fi, factors=(q1, darboux_c(fi.params), general), label="F9", free_xy=(1, 2)),
+         "factor 1 is not monic linear"),
+        (replace(fi, factors=(q1, general, q2), label="F9", identical_adjacent=((0, 2),)),
+         "factor 1 root is not a rotation quaternion"),
+        (replace(fii, identical_adjacent=((0, 1),), label="F9"),
+         "identical_adjacent pair (0, 1) does not name two equal adjacent factors"),
+        (replace(fi, label="F9", free_xy=(1, 2)), "label is not one of FI, FII, FIII, FIV"),
+        (replace(fii, label="FI", free_xy=(1, 2)),
+         "has 5 factors with identical_adjacent [(1, 2)]; the label needs 3 factors with []"),
+        (replace(fi, free_xy=(1, 2)), "has free_xy; the label needs null"),
+        (replace(fiii, free_xy=None), "needs free_xy, a pair x, y"),
+        (replace(fiii, free_xy=(5, 7), label="FIV"),
+         "doubled last factor is not t - k - x eps i - y eps j at free_xy (5, 7)"),
+        (replace(fiii, label="FIV"), "is the instance (a, b, c, x, y) = (1, 2, 0, 0, 0) only"),
+    ]
+
+
+def test_every_chain_fault_has_its_message_in_order():
+    for f, message in chains_with_faults():
+        with pytest.raises(NotRotational) as exc:
+            f.check_rotation_chain()
+        assert str(exc.value) == message

@@ -143,3 +143,19 @@ def test_every_export_is_run_by_the_package():
     }
     exported = [name for name in darboux7r.__all__ if not name.startswith("__")]  # not metadata
     assert sorted(name for name in exported if name not in loaded) == sorted(UNCALLED_EXPORTS)
+
+
+def test_no_module_uses_dataclasses_replace():
+    # replace builds an instance from the fields alone, so it drops every
+    # value a Factorization keeps (C, its forms, the roots, the residual)
+    # and the copy forms them again; build the instance instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and "replace" in [alias.name for alias in node.names])
+        or (isinstance(node, ast.Attribute) and node.attr == "replace"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
+    ]
+    assert found == []
