@@ -3,7 +3,7 @@
 A point x moves under a motion polynomial P on Y(t) = P*(1 - eps*x)*P~,
 where P~ negates h1..h4 of each coefficient of P: the primal part of Y
 is the norm polynomial n0 of P, and the dual part is -n0 times the image
-of x.  Y is formed on integral forms and divided by t^2 + 1, down to
+of x.  Y is formed on int numerators and divided by t^2 + 1, down to
 degree 2, while the remainder is exactly zero.  For the Darboux motion
 (n0 = (t^2 + 1)^3) every point reduces to (A0 + A1 t + A2 t^2)/(1 + t^2);
 with t = tan(phi/2) that is M + U cos(phi) + V sin(phi), where
@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 from ._numpy import np
 from .dualquat import DualQuaternion, Vec3, vcross, vdot, viszero
 from .errors import KinematicsError
-from .motionpoly import MotionPoly, integral_product, t_squared_plus_one
+from .motionpoly import MotionPoly, t_squared_plus_one
 from .scalars import Scalar, cleared
 
 
@@ -74,13 +74,13 @@ def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, 
     if poly.is_float():
         rows = [DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in poly.coeffs]
         poly = MotionPoly(tuple(rows))
-    scaled = poly.integral()[0]  # its scale, like the point's d, cancels in M, U and V
+    scaled = poly.integral()[0]  # its den, like the point's d, cancels in M, U and V
     x, y, z, d = cleared(*map(Fraction, point))
-    orbit, _ = integral_product([
-        scaled,
-        MotionPoly.constant(DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z))),
-        MotionPoly(tuple([h.tilde() for h in scaled.coeffs])),
-    ])
+    orbit = (
+        scaled
+        * MotionPoly.constant(DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z)))
+        * MotionPoly(tuple([h.tilde() for h in scaled.coeffs]))
+    )
     while orbit.degree > 2:
         quot, rem = orbit.divmod_right(t_squared_plus_one())
         if not rem.is_zero():

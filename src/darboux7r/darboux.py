@@ -45,10 +45,7 @@ from .dualquat import (
     vdot,
 )
 from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
-from .motionpoly import (
-    MotionPoly, ONE_POLY, _integral_forms, forms_residual, integral_product, poly_product,
-    t_squared_plus_one,
-)
+from .motionpoly import MotionPoly, ONE_POLY, poly_product, residual, t_squared_plus_one
 from .scalars import Scalar, cleared, sdiv
 
 
@@ -75,7 +72,7 @@ def darboux_c(p: DarbouxParams) -> MotionPoly:
 
     C = t^3 - (k - eps(a j - b k)) t^2 + (1 - eps(b + a i - c k)) t - k + c eps
     """
-    a, b, c, d = cleared(p.a, p.b, p.c)  # built as its integral form d*C
+    a, b, c, d = cleared(p.a, p.b, p.c)  # built as d*C on ints, then divided by d once
     return MotionPoly(
         (
             DualQuaternion(Quaternion(0, 0, 0, -d), Quaternion(c, 0, 0, 0)),
@@ -108,23 +105,15 @@ class Factorization:
     free_xy: Optional[Tuple[Scalar, Scalar]] = None
     identical_adjacent: Tuple[Tuple[int, int], ...] = ()
 
-    # Formed on first use and kept, never as fields: ==, hash and replace see only those.
+    # C, the product, the residual and the roots, formed on first use and kept, never as
+    # fields: ==, hash and replace see only those, and the closure check reads the product.
     _target = cached_property(lambda self: darboux_c(self.params))
-    _residual = cached_property(lambda self: forms_residual(self.product_form, self.target_form))
+    _product = cached_property(lambda self: poly_product(self.factors))
+    _residual = cached_property(lambda f: residual(f.product(), f.cofactor * f.target()))
     _roots = cached_property(lambda self: tuple([-f.coeff(0) for f in self.factors]))
 
-    @cached_property
-    def product_form(self) -> Tuple[MotionPoly, int]:
-        """Integral form (d*P, d) of P = product()."""
-        return integral_product(self.factors)
-
-    @cached_property
-    def target_form(self) -> Tuple[MotionPoly, int]:
-        """Integral form of cofactor * target()."""
-        return integral_product((self.cofactor, self.target()))
-
     def product(self) -> MotionPoly:
-        return MotionPoly.over(*self.product_form)
+        return self._product
 
     def target(self) -> MotionPoly:
         return self._target
@@ -148,8 +137,8 @@ class Factorization:
         for k, f in enumerate(self.factors):
             if not f.is_monic_linear():
                 raise NotRotational(f"factor {k} is not monic linear")
-            # On f's integral constant term -d*h, on ints: h's multiples classify as h.
-            if f.integral()[0].coeff(0).classify() is not DisplacementKind.ROTATION:
+            # On f's constant numerator -d*h, on ints: h's multiples classify as h.
+            if f.num[0].classify() is not DisplacementKind.ROTATION:
                 raise NotRotational(f"factor {k} root is not a rotation quaternion")
             h = roots[k]  # the axis of h, as h.axis() gives it
             axes.append(AxisLine(h[1:4], (-h[5], -h[6], -h[7])))
@@ -233,7 +222,7 @@ def factor_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     (x, y) away from the singular denominators.  Q'5 and Q'6 follow in
     closed form; Q'7 = t - h7 from the t^4 coefficients: the sum of the
     roots, h7 + h6 + h5 + 2 h4 = -c2 for C's t^2 coefficient c2, on ints.
-    Then the identity is checked exactly on the kept forms, else NotADivisor.
+    Then the identity is checked exactly on the kept C and product, else NotADivisor.
     """
     return _fiii("FIII", p, x, y)
 
@@ -262,10 +251,10 @@ def _fiii(label: str, p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     q6 = MotionPoly.t_minus(DualQuaternion(Quaternion(0, bi, -bj, -bk), Q_ZERO))
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
     target = darboux_c(p)
-    # m*c2 and m*g for each g = -h, on ints: m a common denominator (1 if inexact)
-    forms = _integral_forms((target, q6, q5, q4)) or [(q, 1) for q in (target, q6, q5, q4)]
-    m = math.lcm(*[s for _, s in forms])
-    c2, g6, g5, g4 = (q.coeff(k).scale(m // s) for (q, s), k in zip(forms, (2, 0, 0, 0)))
+    # m*c2 and m*g for each g = -h, on ints: m the common den (1 if inexact)
+    polys = (target, q6, q5, q4)
+    m = math.lcm(*[q.den for q in polys])
+    c2, g6, g5, g4 = (q.num[k].scale(m // q.den) for q, k in zip(polys, (2, 0, 0, 0)))
     g7 = c2 - g6 - g5 - g4 - g4
     g7 = g7 if m == 1 else DualQuaternion.from_coeffs([sdiv(v, m) if v else 0 for v in g7])
     q7 = MotionPoly((g7, DQ_ONE))
@@ -298,9 +287,9 @@ def _split_circular_quadratic(q: MotionPoly) -> Tuple[MotionPoly, MotionPoly]:
 
     q = t^2 + eps d1 t + (1 + eps d0); the unique pure-primal right root is
     u = (d1 x d0) / |d1|^2, a unit vector exactly when the translation is
-    circular.  It is read on q's integral form, which scales d1 and d0 alike.
+    circular.  It is read on q's numerators, which scale d1 and d0 alike.
     """
-    d1, d0 = (q.integral()[0].coeff(k).d.vector for k in (1, 0))
+    d1, d0 = (q.num[k].d.vector for k in (1, 0))
     n2 = vdot(d1, d1)
     if n2 == 0:
         raise SingularChoice("translation quadratic has no rotational factor")
@@ -326,7 +315,7 @@ def _circular_split(
     Every such h is a right zero of cubic; the two circularity conditions
     on the quotient by t - h are affine in (s, u), so three probe
     divisions at (0,0), (1,0), (0,1) pin them.  They divide d*cubic, its
-    integral form, by monic int divisors: in ints, the conditions times d^2
+    numerators, by monic int divisors: in ints, the conditions times d^2
     have the same zeros and the same solution.  The quotient at the
     solution must meet both conditions exactly, else ValueError; it is
     then split at its pure-primal root.
@@ -370,8 +359,7 @@ def derive_fiii(p: DarbouxParams, x: Scalar, y: Scalar) -> Factorization:
     factor_fiii exactly.
     """
     q4 = MotionPoly.t_minus(DualQuaternion(Q_K, Quaternion(0, x, y, 0)))
-    pc = poly_product((darboux_c(p), t_squared_plus_one()))
-    c2 = _exact_quotient(pc, poly_product((q4, q4)))
+    c2 = _exact_quotient(darboux_c(p) * t_squared_plus_one(), q4 * q4)
     factors = (*_circular_split(c2, -Q_K), q4, q4)
     return Factorization("FIII", p, factors, t_squared_plus_one(), (x, y), ((3, 4),))
 

@@ -73,17 +73,20 @@ class Joint:
 class Linkage:
     """Closed loop of two chains; build it with build_linkage.
 
-    product_a is the exact product of chain A's factors, made from the
-    form its Factorization keeps for the closure check; the closure certificate,
-    coupler traces and plot overlays reuse it.  home_axes forms the exact
-    t = 0 axes on its first call and keeps them.
+    product_a is the exact product of chain A's factors that chain_a keeps
+    from the closure check; the closure certificate, coupler traces and plot
+    overlays read it.  home_axes forms the exact t = 0 axes on its first
+    call and keeps them.
     """
 
     chain_a: Factorization
     chain_b: Factorization
     joints: Tuple[Joint, ...]
     degenerate: bool
-    product_a: MotionPoly
+
+    @property
+    def product_a(self) -> MotionPoly:
+        return self.chain_a.product()
 
     @property
     def joint_count(self) -> int:
@@ -126,12 +129,10 @@ def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
     A pair of identical chains closes trivially but has zero relative
     motion; it is flagged degenerate rather than rejected.
     """
-    # Compared on the kept integral forms: product(f) = prod_f / d_f.
-    (prod_a, da), (prod_b, db) = fa.product_form, fb.product_form
-    if prod_a * fb.cofactor * db != prod_b * fa.cofactor * da:
+    if fa.product() * fb.cofactor != fb.product() * fa.cofactor:  # the kept products
         raise ClosureFailure("chains do not parameterize the same motion")
     joints = tuple(_chain_joints(fa, "A") + list(reversed(_chain_joints(fb, "B"))))
-    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors, product_a=fa.product())
+    return Linkage(fa, fb, joints, degenerate=fa.factors == fb.factors)
 
 
 def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:
@@ -179,7 +180,7 @@ def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     for side, f in (("A", linkage.chain_a), ("B", linkage.chain_b)):
         forms = [factor.integral() for factor in f.factors]  # (d*(t - h), d)
         # The values at t as the coefficients of one polynomial, cleared together.
-        values = MotionPoly(tuple(q.eval(t) for q, _ in forms)).integral()[0].coeffs
+        values = MotionPoly(tuple(q.eval(t) for q, _ in forms)).num
         pose = DQ_ONE
         for k, ((q, d), value) in enumerate(zip(forms, values)):
             x = pose * -q.coeff(0) * pose.conj()

@@ -10,27 +10,27 @@ factors t - h.  A real polynomial, such as a cofactor or a quadratic
 factor of a norm polynomial, is a MotionPoly with real coefficients
 (MotionPoly.real); they are central, so it commutes with every MotionPoly.
 
-Exact polynomials run on ints: the integral form (d*P, d) of
-MotionPoly.integral has int coefficients, d the lcm of the denominators,
-and is derived once and kept on P.  poly_product multiplies integral
-forms, divmod_right pseudo-divides them, and forms_residual compares two
-with their scales cross-multiplied.  The results of
-products and divisions are made by over from their integral forms, which
-the next product or division reads; their Fraction coefficients are
-formed only when read, once each.  An exact real coefficient (of a
-cofactor, or d of a monic factor's form) scales its partner instead of a
-full product, and exact sums start from their first term.  A float or
-symbolic polynomial is its own integral form with scale 1, multiplied
-and divided (by the inverse of the leading coefficient) in plain scalar
-arithmetic, with sums started from zero, as 0 + -0.0 is 0.0.
+Exact polynomials run on ints: one with int and Fraction coefficients
+holds int rows num over one int den > 0, reduced by their gcd, so equal
+values have equal num and den.  * multiplies the numerators and the dens,
+divmod_right pseudo-divides numerators, residual cross-multiplies dens,
+and none of them reads coeffs, whose Fractions are formed on the first
+read only.  An exact real coefficient (of a cofactor, or den of a monic
+factor) scales its partner instead of a full product, and exact sums
+start from their first term.  A float or symbolic polynomial has
+num = coeffs and den = 1, multiplied and divided (by the inverse of the
+leading coefficient) in plain scalar arithmetic, with sums started from
+zero, as 0 + -0.0 is 0.0; an exact operand that meets one takes part by its coeffs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
@@ -48,14 +48,55 @@ def _trim(coeffs: Sequence) -> Tuple:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
 class MotionPoly:
-    """Polynomial with dual quaternion coefficients, t central."""
+    """Polynomial with dual quaternion coefficients, t central, held as num / den.
 
-    coeffs: Tuple[DualQuaternion, ...]
+    Immutable, with value equality; MotionPoly(coeffs) clears Fractions once.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+    def __init__(self, coeffs: Sequence[DualQuaternion]):
+        rows = _trim(coeffs)
+        # Lists, here and in coeffs: tuple() and f(*...) of a generator
+        # resize the tuple they build, which fills CPython's per-size
+        # tuple free lists and so raises peak memory.
+        values = [v for h in rows for v in h]
+        types = set(map(type, values))
+        exact = types <= _EXACT_TYPES
+        num, den = rows, 1
+        if exact and Fraction in types:
+            den = math.lcm(*{v.denominator for v in values})
+            ints = [v.numerator * (den // v.denominator) for v in values]
+            num = tuple([_tuple(DualQuaternion, ints[i:i + 8]) for i in range(0, len(ints), 8)])
+        self.__dict__.update(num=num, den=den, _exact=exact, coeffs=rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MotionPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MotionPoly is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MotionPoly):
+            return NotImplemented
+        if self._exact and other._exact:
+            return self.den == other.den and self.num == other.num
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"MotionPoly(coeffs={self.coeffs!r})"
+
+    @cached_property
+    def coeffs(self) -> Tuple[DualQuaternion, ...]:
+        """num / den, each Fraction formed on the first read; num itself if den = 1."""
+        d = self.den
+        if d == 1:
+            return self.num
+        return tuple([
+            _tuple(DualQuaternion, [Fraction(v, d) if v else 0 for v in c]) for c in self.num
+        ])
 
     @classmethod
     def t_minus(cls, h: DualQuaternion) -> "MotionPoly":
@@ -72,10 +113,10 @@ class MotionPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> DualQuaternion:
@@ -84,51 +125,47 @@ class MotionPoly:
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading == DQ_ONE
+        return not self.is_zero() and self.num[-1] == DQ_ONE.scale(self.den)
 
     def is_monic_linear(self) -> bool:
         return self.degree == 1 and self.is_monic()
 
     def coeff(self, k: int) -> DualQuaternion:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.num):
             return self.coeffs[k]
         return DualQuaternion.from_scalar(0)
 
     def __add__(self, other: "MotionPoly") -> "MotionPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out: List[DualQuaternion] = []
-        for i in range(n):
-            out.append(self.coeff(i) + other.coeff(i))
-        return MotionPoly(tuple(out))
-
-    def __sub__(self, other: "MotionPoly") -> "MotionPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MotionPoly":
-        return MotionPoly(tuple(-c for c in self.coeffs))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=DualQuaternion.from_scalar(0))
+        return MotionPoly(tuple([a + b for a, b in pairs]))
 
     def __mul__(self, other):
         if isinstance(other, DualQuaternion):
             other = MotionPoly.constant(other)
         if isinstance(other, MotionPoly):
+            exact = self._exact and other._exact
+            # 1 * p is p: poly_product starts from ONE_POLY, and FI's cofactor is it.
+            if exact and (self is ONE_POLY or other is ONE_POLY):
+                return other if self is ONE_POLY else self
             if self.is_zero() or other.is_zero():
                 return MotionPoly(())
+            a, b = (self.num, other.num) if exact else (self.coeffs, other.coeffs)
             zero = DualQuaternion.from_scalar(0)
-            exact = _value_types((self, other)) <= _EXACT_TYPES
-            out = [None if exact else zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            right = list(zip(other.coeffs, _real_parts(other.coeffs, exact)))
-            for i, (a, ra) in enumerate(zip(self.coeffs, _real_parts(self.coeffs, exact))):
-                for j, (b, rb) in enumerate(right):
-                    if ra != 0 and rb != 0:  # an exact zero adds nothing
-                        term, acc = _times(a, ra, b, rb), out[i + j]
+            out = [None if exact else zero] * (len(a) + len(b) - 1)
+            right = list(zip(b, _real_parts(b, exact)))
+            for i, (x, rx) in enumerate(zip(a, _real_parts(a, exact))):
+                for j, (y, ry) in enumerate(right):
+                    if rx != 0 and ry != 0:  # an exact zero adds nothing
+                        term, acc = _times(x, rx, y, ry), out[i + j]
                         out[i + j] = term if acc is None else acc + term
-            return MotionPoly(tuple([zero if h is None else h for h in out]))
+            out = tuple([zero if h is None else h for h in out])
+            return _exact_poly(out, self.den * other.den) if exact else MotionPoly(out)
         if isinstance(other, (int, float)) or is_exact(other):
             return MotionPoly(tuple(c.scale(other) for c in self.coeffs))
         return NotImplemented
 
     def conj(self) -> "MotionPoly":
-        return MotionPoly(tuple(c.conj() for c in self.coeffs))
+        return _poly(tuple([c.conj() for c in self.num]), self.den, self._exact)
 
     def norm_poly(self) -> "MotionPoly":
         """Norm polynomial C * conj(C); real exactly for motion polynomials."""
@@ -164,7 +201,7 @@ class MotionPoly:
     def divmod_right(self, divisor: "MotionPoly") -> Tuple["MotionPoly", "MotionPoly"]:
         """Right division: returns (Q, R) with self = Q*divisor + R, deg R < deg divisor.
 
-        Exact operands are pseudo-divided in integral form.  The divisor's
+        Exact operands are pseudo-divided on their numerators.  The divisor's
         leading coefficient L has the central norm L*conj(L) = n0 + eps*n1,
         so adj = conj(L)*(n0 - eps*n1) satisfies adj*L = n0^2 =: m (both
         reduced by their gcd); a real L = r, as for a monic divisor, gives
@@ -173,12 +210,14 @@ class MotionPoly:
         ints, and Q and R are divided by the accumulated scale once.  They
         are the unique quotient and remainder either way.
         """
-        forms = _integral_forms((self, divisor))
-        exact = forms is not None
-        (num, num_scale), (den, den_scale) = forms or ((self, 1), (divisor, 1))
-        if den.is_zero():
+        exact = self._exact and divisor._exact
+        (top, top_den), (bottom, bottom_den) = (
+            ((self.num, self.den), (divisor.num, divisor.den)) if exact
+            else ((self.coeffs, 1), (divisor.coeffs, 1))
+        )
+        if not bottom:
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = den.leading
+        lead = bottom[-1]
         if not lead.invertible():
             raise NonInvertibleLeader("divisor's leading coefficient has zero primal part")
         if exact and lead[1:] == _ZERO7:  # a real leader r: adj = sign(r), m = |r|
@@ -192,10 +231,10 @@ class MotionPoly:
         else:
             adj, m = lead.inverse(), 1
         (ra,) = _real_parts([adj], exact)  # a real L reduces adj to +-1
-        dn = den.degree
-        lower = list(zip(den.coeffs, _real_parts(den.coeffs, exact)))[:dn]
-        steps = max(0, len(num.coeffs) - dn)
-        rem = list(num.coeffs) if m == 1 else [h.scale(m**steps) for h in num.coeffs]
+        dn = len(bottom) - 1
+        lower = list(zip(bottom, _real_parts(bottom, exact)))[:dn]
+        steps = max(0, len(top) - dn)
+        rem = list(top) if m == 1 else [h.scale(m**steps) for h in top]
         quot = [DualQuaternion.from_scalar(0)] * steps
         # Synthetic division; the cancelled leading term is popped rather
         # than subtracted so float rounding cannot stall the loop.
@@ -210,83 +249,64 @@ class MotionPoly:
             for i, (h, r) in enumerate(lower):
                 if r != 0:
                     rem[i + k] = rem[i + k] - _times(qk, None, h, r)
-        # m^steps * num_scale * self = quot * divisor * den_scale + rem
-        scale = m**steps * num_scale
-        quot = MotionPoly(tuple(quot if den_scale == 1 else [h.scale(den_scale) for h in quot]))
-        return quot.over(scale), MotionPoly(tuple(rem)).over(scale)
+        if not exact:
+            return MotionPoly(tuple(quot)), MotionPoly(tuple(rem))
+        # m^steps * top_den * self = quot * divisor * bottom_den + rem
+        scale = m**steps * top_den
+        quot = quot if bottom_den == 1 else [h.scale(bottom_den) for h in quot]
+        return _exact_poly(quot, scale), _exact_poly(rem, scale)
 
     def is_motion_polynomial(self) -> bool:
         """Invertible leading coefficient and a real norm polynomial."""
-        if self.is_zero() or not self.leading.invertible():
+        if self.is_zero() or not self.num[-1].invertible():
             return False
         return self.norm_poly().is_real()
 
     def is_real(self) -> bool:
         """Every coefficient is real, so the polynomial is central."""
-        return all(viszero(c.p.vector) and c.d.is_zero() for c in self.coeffs)
+        return all(viszero(c.p.vector) and c.d.is_zero() for c in self.num)
 
     def is_float(self) -> bool:
-        return any(c.is_float() for c in self.coeffs)
+        return any(c.is_float() for c in self.num)
 
     def to_float(self) -> "MotionPoly":
         return MotionPoly(tuple(c.to_float() for c in self.coeffs))
 
     def integral(self) -> Tuple["MotionPoly", int]:
-        """Integral form (d*self, d): int coefficients, d the lcm of their denominators.
+        """(den*self, den): num as an int polynomial, and den.
 
-        A polynomial with a float or symbolic coefficient is its own
-        integral form (self, 1).  The form is derived once and kept.
+        A polynomial with a float or symbolic coefficient gives (self, 1).
         """
-        forms = _integral_forms((self,))
-        return (self, 1) if forms is None else forms[0]
+        return (_poly(self.num, 1, True), self.den) if self._exact else (self, 1)
 
     def over(self, d: int) -> "MotionPoly":
-        """self / d for int coefficients and an int d > 0, made from its integral form.
+        """self / d for an exact self and an int d > 0; self itself for d = 1."""
+        return self if d == 1 else _exact_poly(self.num, self.den * d)
 
-        That form, (self, d) divided by their gcd, is kept, and each
-        coefficient becomes Fraction(n, d) on the first read of coeffs.  With
-        d = 1 it is self, so float and symbolic integral forms pass through.
-        """
-        if d == 1:
-            return self
-        g = math.gcd(d, *[v for c in self.coeffs for v in c])
-        q, d = self, d // g
-        if g > 1:
-            q = MotionPoly(tuple([_tuple(DualQuaternion, [v // g for v in c]) for c in q.coeffs]))
-        if d == 1:
-            return q
-        out = object.__new__(MotionPoly)
-        object.__setattr__(out, "_form", (q, d))
-        return out
 
-    def __getattr__(self, name: str):
-        # Only a polynomial made by over lacks coeffs until they are read.
-        if name != "coeffs" or "_form" not in self.__dict__:
-            raise AttributeError(f"'MotionPoly' object has no attribute {name!r}")
-        q, d = self._form
-        # Lists, here and in _integral_forms: tuple() and f(*...) of a
-        # generator resize the tuple they build, which fills CPython's
-        # per-size tuple free lists and so raises peak memory.
-        coeffs = tuple([
-            _tuple(DualQuaternion, [Fraction(v, d) if v else 0 for v in c]) for c in q.coeffs
-        ])
-        object.__setattr__(self, "coeffs", coeffs)
-        return coeffs
+def _poly(num: Tuple[DualQuaternion, ...], den: int, exact: bool) -> MotionPoly:
+    """The polynomial num / den, given in its stored form."""
+    p = object.__new__(MotionPoly)
+    p.__dict__.update(num=num, den=den, _exact=exact)
+    return p
+
+
+def _exact_poly(rows: Sequence[DualQuaternion], den: int) -> MotionPoly:
+    """The exact polynomial rows / den for int rows and an int den > 0, trimmed and reduced."""
+    rows = _trim(rows)
+    g = 1 if den == 1 else math.gcd(den, *[v for c in rows for v in c])
+    if g > 1:
+        rows, den = tuple([_tuple(DualQuaternion, [v // g for v in c]) for c in rows]), den // g
+    return _poly(rows, den, True)
 
 
 def t_squared_plus_one() -> MotionPoly:
     return MotionPoly.real((1, 0, 1))
 
 
-ONE_POLY = MotionPoly.real((1,))
-
-
 _EXACT_TYPES = frozenset((int, Fraction))
 _ZERO7 = (0,) * 7
-
-
-def _value_types(polys: Sequence[MotionPoly]) -> set:
-    return {type(v) for p in polys for h in p.coeffs for v in h}
+ONE_POLY = MotionPoly.real((1,))
 
 
 def _real_parts(coeffs: Sequence[DualQuaternion], exact: bool) -> List[Optional[Scalar]]:
@@ -301,48 +321,12 @@ def _times(a: DualQuaternion, ra, b: DualQuaternion, rb) -> DualQuaternion:
     return b.scale(ra) if ra is not None else a * b
 
 
-def _integral_forms(polys: Sequence[MotionPoly]) -> Optional[List[Tuple[MotionPoly, int]]]:
-    """Integral forms of polys, or None if any coefficient is not an int or a Fraction.
-
-    An int polynomial is its own form; another is kept on it, as over keeps it.
-    """
-    forms = []
-    for p in polys:
-        if "_form" not in p.__dict__:
-            types = _value_types((p,))
-            if not types <= _EXACT_TYPES:
-                return None
-            if Fraction not in types:
-                forms.append((p, 1))
-                continue
-            values = [v for c in p.coeffs for v in c]
-            d = math.lcm(*[v.denominator for v in values])
-            ints = [v.numerator * (d // v.denominator) for v in values]
-            rows = [_tuple(DualQuaternion, ints[i:i + 8]) for i in range(0, len(ints), 8)]
-            object.__setattr__(p, "_form", (MotionPoly(tuple(rows)), d))
-        forms.append(p._form)
-    return forms
-
-
-def integral_product(factors: Sequence[MotionPoly]) -> Tuple[MotionPoly, int]:
-    """(d*P, d) for P = poly_product(factors): the factors' integral forms multiplied.
-
-    d is the product of their scales; float or symbolic factors give (P, 1).
-    """
-    forms = _integral_forms(factors)
-    if forms is None:
-        # Float or symbolic: start from 1, as 1 * f turns f's -0.0 dual
-        # coefficients into 0.0.  Exact forms start from the first factor.
-        forms = [(MotionPoly.constant(DQ_ONE), 1)] + [(f, 1) for f in factors]
-    acc, scale = forms[0] if forms else (MotionPoly.constant(DQ_ONE), 1)
-    for f, d in forms[1:]:
-        acc, scale = acc * f, scale * d
-    return acc, scale
-
-
 def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
-    """Ordered product factors[0] * factors[1] * ... (left to right)."""
-    return MotionPoly.over(*integral_product(factors))
+    """Ordered product factors[0] * factors[1] * ..., a left fold of * from 1.
+
+    1 * f turns a float f's -0.0 dual coefficients into 0.0; an exact 1 * f is f.
+    """
+    return reduce(operator.mul, factors, ONE_POLY)
 
 
 # The float lane multiplies coefficients pairwise (norms, dot products), so
@@ -434,12 +418,13 @@ def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:
     return h
 
 
-def forms_residual(left: Tuple[MotionPoly, int], right: Tuple[MotionPoly, int]) -> Scalar:
-    """Largest |coefficient| of P/dP - C/dC, given the integral forms (P, dP) and (C, dC).
+def residual(p: MotionPoly, c: MotionPoly) -> Scalar:
+    """Largest |coefficient| of p - c, zero exactly when p == c.
 
-    That is max |P*dC - C*dP| / (dP*dC), in one walk over coefficient pairs, divided once.
+    That is max |p.num*c.den - c.num*p.den| / (p.den*c.den), in one walk
+    over coefficient pairs, divided once.
     """
-    (p, dp), (c, dc) = left, right
-    pairs = (zip(p.coeff(k), c.coeff(k)) for k in range(max(len(p.coeffs), len(c.coeffs))))
-    top = max((abs(u * dc - v * dp) for row in pairs for u, v in row), default=0)
+    dp, dc = p.den, c.den
+    rows = zip_longest(p.num, c.num, fillvalue=(0,) * 8)
+    top = max((abs(u * dc - v * dp) for a, b in rows for u, v in zip(a, b)), default=0)
     return sdiv(top or 0, dp * dc)  # all zero, it is the exact 0

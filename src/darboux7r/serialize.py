@@ -20,7 +20,7 @@ from .darboux import DarbouxParams, Factorization
 from .dualquat import AxisLine, DualQuaternion
 from .errors import MalformedInput
 from .linkage import Linkage, MobilityReport, Samples
-from .motionpoly import MotionPoly, poly_product
+from .motionpoly import MotionPoly
 from .scalars import Scalar, format_scalar, is_exact, parse_scalar
 
 
@@ -156,7 +156,7 @@ def read_exact_factorization(path: str) -> Factorization:
 
 def closure_certificate(linkage: Linkage) -> str:
     """SHA-256 of the canonical JSON of the common motion (times both cofactors)."""
-    common = poly_product((linkage.product_a, linkage.chain_b.cofactor))
+    common = linkage.product_a * linkage.chain_b.cofactor
     payload = json.dumps(motionpoly_to_json(common), separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 

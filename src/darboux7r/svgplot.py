@@ -62,10 +62,7 @@ def _is_view_parallel(direction: Tuple[float, float, float], view: str) -> bool:
 
 
 def render_linkage(
-    linkage: Linkage,
-    ts: Sequence,
-    view: str = "xy",
-    trace_point: Optional[Sequence[Scalar]] = None,
+    linkage: Linkage, ts: Sequence, view: str, trace_point: Optional[Sequence[Scalar]]
 ) -> str:
     """Render configurations at the given parameter values as an SVG grid."""
     if view not in _VIEWS:

@@ -377,29 +377,34 @@ def test_fiii_refuses_a_cubic_its_factors_do_not_multiply_to(monkeypatch):
 
 def test_one_loop_and_its_verification_form_each_product_once(monkeypatch):
     # factor_fiii's identity check, build_linkage's closure check and verify's
-    # residual all read each factorization's kept integral forms.
-    formed = []
-    integral_product = motionpoly.integral_product
+    # residual all read each factorization's kept product and residual.
+    formed, compared = [], []
+    poly_product, residual = motionpoly.poly_product, motionpoly.residual
 
     def counting(factors):
         formed.append(tuple(factors))
-        return integral_product(factors)
+        return poly_product(factors)
+
+    def comparing(p, c):
+        compared.append((p, c))
+        return residual(p, c)
 
     for module in (motionpoly, darboux, linkage, conics, serialize, cli):
-        if hasattr(module, "integral_product"):
-            monkeypatch.setattr(module, "integral_product", counting)
+        if hasattr(module, "poly_product"):
+            monkeypatch.setattr(module, "poly_product", counting)
+        if hasattr(module, "residual"):
+            monkeypatch.setattr(module, "residual", comparing)
     p = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
     fiii = factor_fiii(p, Fraction(1, 3), Fraction(-2, 7))
     fi = factor_fi(p)
     loop = build_linkage(fi, fiii)
-    assert loop.product_a == fi.product()
+    assert loop.product_a is fi.product()
     for f in (fi, fiii):
         assert cli._check(f) == (None, 0)
-        assert f.product() == f.cofactor * darboux_c(p)  # reads the kept forms
+        assert f.product() == f.cofactor * darboux_c(p)  # reads the kept product
     c = darboux_c(p)
-    assert Counter(formed) == {
-        fiii.factors: 1, (t_squared_plus_one(), c): 1, fi.factors: 1, (fi.cofactor, c): 1
-    }
+    assert Counter(formed) == {fiii.factors: 1, fi.factors: 1}
+    assert compared == [(fiii.product(), t_squared_plus_one() * c), (fi.product(), c)]
 
 
 def test_verify_reports_a_product_that_differs_from_cofactor_times_c():
@@ -410,21 +415,25 @@ def test_verify_reports_a_product_that_differs_from_cofactor_times_c():
 
 
 def test_fiv_loop_forms_each_product_once(monkeypatch):
-    # factor_fiv hands over the forms its identity check made, so the loop's
+    # factor_fiv keeps the product its identity check made, so the loop's
     # closure check multiplies neither chain again.
-    formed = []
-    integral_product = motionpoly.integral_product
+    formed, compared = [], Counter()
+    poly_product, residual = motionpoly.poly_product, motionpoly.residual
 
     def counting(factors):
         formed.append(tuple(factors))
-        return integral_product(factors)
+        return poly_product(factors)
 
-    monkeypatch.setattr(darboux, "integral_product", counting)
+    def comparing(p, c):
+        compared[p, c] += 1
+        return residual(p, c)
+
+    monkeypatch.setattr(darboux, "poly_product", counting)
+    monkeypatch.setattr(darboux, "residual", comparing)
     fi, fiv = fiv_companion_fi(), factor_fiv()
     build_linkage(fi, fiv)
-    assert Counter(formed) == {
-        fiv.factors: 1, (t_squared_plus_one(), darboux_c(fiv.params)): 1, fi.factors: 1
-    }
+    assert Counter(formed) == {fiv.factors: 1, fi.factors: 1}
+    assert compared == {(fiv.product(), t_squared_plus_one() * darboux_c(fiv.params)): 1}
 
 
 def test_kept_values_are_not_fields_and_replace_forms_them_anew():
@@ -433,22 +442,22 @@ def test_kept_values_are_not_fields_and_replace_forms_them_anew():
     f.check_rotation_chain()
     names = {field.name for field in fields(Factorization)}
     kept = set(vars(f)) - names
-    assert {"product_form", "target_form"} <= kept
+    assert {"_product", "_target", "_residual", "_roots"} <= kept
     # ==, hash and replace see the fields only.
     g = replace(f)
     assert set(vars(g)) == names
     assert g == f and hash(g) == hash(f)
-    assert (g.product_form, g.target(), g.residual(), g.roots()) == (
-        f.product_form, f.target(), f.residual(), f.roots()
+    assert (g.product(), g.target(), g.residual(), g.roots()) == (
+        f.product(), f.target(), f.residual(), f.roots()
     )
     q = DarbouxParams(Fraction(3, 2), -1, 0)
     moved = replace(f, params=q)
     assert moved.target() == darboux_c(q) != f.target()
-    assert moved.target_form == motionpoly.integral_product((moved.cofactor, darboux_c(q)))
-    assert moved.residual() != 0 == f.residual()
+    expected = motionpoly.residual(f.product(), moved.cofactor * darboux_c(q))
+    assert moved.residual() == expected != 0 == f.residual()
     other = factor_fiv()
     swapped = replace(f, factors=other.factors)
-    assert swapped.product_form == other.product_form != f.product_form
+    assert swapped.product() == other.product() != f.product()
     assert swapped.roots() == other.roots()
     assert swapped.residual() != 0
 
@@ -462,15 +471,15 @@ def test_one_c_and_one_residual_per_fiii_and_per_verify(monkeypatch, capsys):
             return fn(*args)
         return wrapped
 
-    for name in ("darboux_c", "forms_residual"):
+    for name in ("darboux_c", "residual"):
         monkeypatch.setattr(darboux, name, counting(name, getattr(darboux, name)))
     factor_fiii(DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5)), Fraction(1, 3), Fraction(-2, 7))
-    assert calls == {"darboux_c": 1, "forms_residual": 1}
+    assert calls == {"darboux_c": 1, "residual": 1}
     calls.clear()
     flags = ["--a", "3/2", "--b=-1", "--c", "2/5", "--x", "1/3", "--y=-2/7"]
     assert cli.main(["verify", "--type", "FIII", *flags]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert calls == {"darboux_c": 1, "forms_residual": 1}
+    assert calls == {"darboux_c": 1, "residual": 1}
 
 
 def test_a_loop_negates_each_root_once(monkeypatch):

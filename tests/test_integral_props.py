@@ -23,7 +23,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from darboux7r import DarbouxParams, DualQuaternion, MotionPoly, SingularChoice  # noqa: E402
+from darboux7r import (  # noqa: E402
+    DarbouxParams, DualQuaternion, MotionPoly, SingularChoice, factor_fiii
+)
 from darboux7r.cli import FAMILIES, build_family  # noqa: E402
 from darboux7r.dualquat import DQ_ONE, Q_ZERO, Quaternion  # noqa: E402
 from darboux7r.motionpoly import poly_product, t_squared_plus_one  # noqa: E402
@@ -136,6 +138,43 @@ def test_divmod_right_is_the_fraction_division(kind, data):
     assert all(is_exact(v) for v in values(q) + values(r))
 
 
+def canonical(p: MotionPoly) -> bool:
+    return p.den > 0 and math.gcd(p.den, *[v for h in p.num for v in h]) == 1
+
+
+@EXAMPLES
+@given(motion_polys | real_polys, motion_polys, st.sampled_from(tuple(LEADERS)).flatmap(divisors))
+def test_equal_exact_values_have_one_num_den_and_hash(a, b, d):
+    # Reached by different paths, one value has one canonical num / den.
+    left, right = (a * b) * d, a * (b * d)
+    rebuilt = MotionPoly(left.coeffs)
+    q, r = left.divmod_right(d)
+    assert r.is_zero()
+    for p, same in ((left, right), (left, rebuilt), (q, a * b)):
+        assert canonical(p) and canonical(same)
+        assert p == same
+        assert (p.num, p.den, hash(p)) == (same.num, same.den, hash(same))
+
+
+def test_exact_products_and_quotients_leave_their_fractions_unformed():
+    # *, divmod_right, ==, is_zero and degree read num and den: a product or
+    # quotient forms its Fraction coefficients only when they are read.
+    f = factor_fiii(DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5)), Fraction(1, 3), 0)
+    q7, q6, q5, q4, _ = f.factors
+    general = MotionPoly.constant(
+        DualQuaternion.from_coeffs([Fraction(1, 3), 2, 0, 1, 5, 0, 1, 0])
+    )
+    left, divisor = q7 * q6, q5 * q4 * general
+    quot, rem = (left * divisor).divmod_right(divisor)
+    assert quot == left and rem.is_zero() and quot.degree == 2
+    monic_quot, monic_rem = f.product().divmod_right(q4 * q4)
+    assert monic_quot == q7 * q6 * q5 and monic_rem.is_zero() and monic_quot.degree == 3
+    assert f.residual() == 0
+    for p in (left, divisor, quot, rem, monic_quot, f.product()):
+        assert "coeffs" not in vars(p)
+    assert (left.den, quot.den, monic_quot.den) != (1, 1, 1)
+
+
 @st.composite
 def edited_factorizations(draw):
     """A factorization of one of the four families with one factor coefficient replaced."""
@@ -164,7 +203,7 @@ def edited_factorizations(draw):
 def test_residual_of_an_edited_factorization_is_the_fraction_residual(case):
     f, factors = case
     residual = replace(f, factors=tuple(factors)).residual()
-    diff = reference_product(factors) - reference_product([f.cofactor, f.target()])
+    diff = reference_product(factors) + reference_product([f.cofactor, f.target()]) * -1
     expected = max((abs(v) for v in values(diff)), default=0)
     assert residual == expected
     # verify prints the residual on its FAIL line with str().
