@@ -45,7 +45,7 @@ from .dualquat import (
     vdot,
 )
 from .errors import DegenerateParams, NotADivisor, NotRotational, SingularChoice
-from .motionpoly import MotionPoly, ONE_POLY, poly_product, residual, t_squared_plus_one
+from .motionpoly import MotionPoly, ONE_POLY, prefix_products, residual, t_squared_plus_one
 from .scalars import Scalar, cleared, sdiv
 
 
@@ -105,15 +105,20 @@ class Factorization:
     free_xy: Optional[Tuple[Scalar, Scalar]] = None
     identical_adjacent: Tuple[Tuple[int, int], ...] = ()
 
-    # C, the product, the residual and the roots, formed on first use and kept, never as
-    # fields: ==, hash and replace see only those, and the closure check reads the product.
+    # C, the prefix products, the residual and the roots, formed on first use and kept, never as
+    # fields: ==, hash and replace see only those; link poses and the closure check read them.
     _target = cached_property(lambda self: darboux_c(self.params))
-    _product = cached_property(lambda self: poly_product(self.factors))
+    _prefixes = cached_property(lambda self: prefix_products(self.factors))
+    _product = cached_property(lambda self: self._prefixes[-1])
     _residual = cached_property(lambda f: residual(f.product(), f.cofactor * f.target()))
     _roots = cached_property(lambda self: tuple([-f.coeff(0) for f in self.factors]))
 
     def product(self) -> MotionPoly:
         return self._product
+
+    def prefixes(self) -> Tuple[MotionPoly, ...]:
+        """1, Q1, Q1*Q2, ..., product(): the fold that forms product(), each step kept."""
+        return self._prefixes
 
     def target(self) -> MotionPoly:
         return self._target

@@ -24,9 +24,10 @@ scalar.  .p, .d and .w/.x/.y/.z read the parts.
 
 One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
 quaternion products inside DualQuaternion.__mul__.  The float64 array
-kernel at the end of the module (dq_mul_many, conjugate_many for both
-sandwiches; motionpoly.poses_many builds on it) evaluates many
-parameter values at once.  It repeats the scalar formulas on (..., 8)
+kernel at the end of the module is the float lane's one conjugation,
+conjugate_many, for both sandwiches at many parameter values at once;
+link poses come to it already evaluated (motionpoly.poses_many), so
+dq_mul_many serves it alone.  It repeats the scalar formulas on (..., 8)
 arrays and gives the scalar float lane's values bit for bit (a NaN's
 sign aside, which IEEE 754 leaves open), and conjugate_many keeps the
 preconditions of act.  Its cost on short grids is the number of numpy
@@ -405,7 +406,6 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
 # operation.  The constant rows are tuples of floats, which broadcast as
 # float64 rows, so importing this module runs no numpy.
 
-DQ_ONE_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 CONJ_ROW = (1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0)
 TILDE_ROW = (1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 

@@ -9,19 +9,20 @@ share one line in every configuration).
 
 Joints are numbered 1..n around the loop: chain A base to coupler in
 factor order, then chain B coupler back to base (reverse factor order).
-The pose of link j at parameter t is the product of its chain's first j
-factor values; axes are stored in the chain's reference placement and
+The pose of link j at parameter t is the value of its chain's prefix
+product Q1*...*Qj, which the Factorization keeps from the fold that forms
+its product; axes are stored in the chain's reference placement and
 transported by those poses.  Building a loop transports no axis: the
 exact home axes (t = 0), which only the linkage JSON and the
 parallel-group and Sarrus analysis read, are computed on first use.
 
-Two lanes evaluate them: chain_poses and axes_at take one exact (or
-float) parameter through the scalar algebra, while simulate and mobility
-sample float64 arrays of parameters through the batched kernel
-(motionpoly.poses_many, dualquat.conjugate_many); one poses_many call
-rounds and walks both chains together, so a one-sample call pays the
-kernel's fixed cost once, not once per chain.
-Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P).
+Two lanes evaluate the prefixes: chain_poses and axes_at at one exact (or
+float) parameter through MotionPoly.eval, while simulate and mobility
+sample float64 arrays of parameters through motionpoly.poses_many, which
+rounds both chains' prefixes once and evaluates them in one Horner pass,
+so a one-sample call pays the kernel's fixed cost once, not once per chain.
+Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P)
+(on floats, dualquat.conjugate_many).
 Each joint's reference axis is the one Factorization.check_rotation_chain
 gets from its rotation test, so building a loop classifies each root once.
 trace_point decides a coupler point's orbit exactly, for all t at once
@@ -40,7 +41,6 @@ from .darboux import Factorization
 from .dualquat import (
     AxisLine,
     CONJ_ROW,
-    DQ_ONE,
     DualQuaternion,
     _displacement_norms,
     _dot,
@@ -138,13 +138,10 @@ def build_linkage(fa: Factorization, fb: Factorization) -> Linkage:
 def chain_poses(f: Factorization, t: Scalar) -> List[DualQuaternion]:
     """Pose of every link of one open chain at parameter t (base first).
 
-    Entry j is the product of the first j factor values; the last entry
-    is projectively the motion times its cofactor value.
+    Entry j is the value of the prefix product Q1*...*Qj; the last entry
+    is the motion times its cofactor, at t.
     """
-    poses = [DQ_ONE]
-    for factor in f.factors:
-        poses.append(poses[-1] * factor.eval(t))
-    return poses
+    return [p.eval(t) for p in f.prefixes()]
 
 
 def _angles(roots: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
@@ -163,42 +160,41 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     0 and 2*pi.
     """
     root = factor if isinstance(factor, DualQuaternion) else -factor.coeff(0)
-    return float(_angles(_coeff_array([[root]])[0], [t])[0, 0])
+    return float(_angles(_coeff_array([MotionPoly((root,))])[0], [t])[0, 0])
 
 
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     """World axis line of every joint at parameter t, in cycle order (scalar lane).
 
     A joint's axis is that of its root h conjugated by its link pose P,
-    P*h*conj(P)/n0(P), the line transform_axis maps the reference axis
-    to.  It is formed here rather than by transform_axis to keep the work
-    on ints: the factors t - h and their values at t are cleared of
-    denominators (a pose's real scale cancels), and each coordinate is
-    divided once.  Float and symbolic factors keep scale 1.
+    the chain's prefix product before the joint at t: P*h*conj(P)/n0(P).
+    The work stays on ints: each prefix's numerators are evaluated at t
+    and the values cleared of denominators together (a pose's real scale
+    cancels), each factor d*(t - h) gives d*h, and each coordinate is
+    divided once.  At t = 0 the values are the constant numerators.
+    Float and symbolic factors keep scale 1.
     """
     axes = {}
     for side, f in (("A", linkage.chain_a), ("B", linkage.chain_b)):
-        forms = [factor.integral() for factor in f.factors]  # (d*(t - h), d)
         # The values at t as the coefficients of one polynomial, cleared together.
-        values = MotionPoly(tuple(q.eval(t) for q, _ in forms)).num
-        pose = DQ_ONE
-        for k, ((q, d), value) in enumerate(zip(forms, values)):
+        poses = MotionPoly(tuple([p.integral()[0].eval(t) for p in f.prefixes()[:-1]])).num
+        for k, (factor, pose) in enumerate(zip(f.factors, poses)):
+            q, d = factor.integral()  # d*(t - h), d
             x = pose * -q.coeff(0) * pose.conj()
             s = pose.p.norm() * d
             axes[side, k] = AxisLine(
                 tuple(sdiv(v, s) for v in x.p.vector), tuple(sdiv(-v, s) for v in x.d.vector)
             )
-            pose = pose * value
     return tuple(axes[j.chain, j.factor_indices[0]] for j in linkage.joints)
 
 
 def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> List[np.ndarray]:
-    return poses_many((linkage.chain_a.factors, linkage.chain_b.factors), ts)
+    return poses_many((linkage.chain_a.prefixes(), linkage.chain_b.prefixes()), ts)
 
 
 def _root_rows(linkage: Linkage) -> np.ndarray:
-    """The joints' roots as float64 rows (n, 8), rounded like the factors."""
-    return _coeff_array([[j.root for j in linkage.joints]])[0]
+    """The joints' roots as float64 rows (n, 8), the coefficients of one polynomial."""
+    return _coeff_array([MotionPoly(tuple([j.root for j in linkage.joints]))])[0]
 
 
 def _joint_poses(linkage: Linkage, poses_a, poses_b) -> np.ndarray:

@@ -21,6 +21,9 @@ start from their first term.  A float or symbolic polynomial has
 num = coeffs and den = 1, multiplied and divided (by the inverse of the
 leading coefficient) in plain scalar arithmetic, with sums started from
 zero, as 0 + -0.0 is 0.0; an exact operand that meets one takes part by its coeffs.
+The float lane rounds each coefficient once, num[i] / den on ints, and
+evaluates many polynomials at many t in one Horner pass: a chain's link
+poses are its prefix products, and orbit moves a point by one polynomial.
 """
 
 from __future__ import annotations
@@ -29,14 +32,12 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import zip_longest
+from functools import cached_property
+from itertools import accumulate, zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
-from .dualquat import (
-    DQ_ONE, DQ_ONE_ROW, TILDE_ROW, DualQuaternion, _tuple, conjugate_many, dq_mul_many, viszero
-)
+from .dualquat import DQ_ONE, TILDE_ROW, DualQuaternion, _tuple, conjugate_many, viszero
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact, sdiv
 
@@ -144,7 +145,7 @@ class MotionPoly:
             other = MotionPoly.constant(other)
         if isinstance(other, MotionPoly):
             exact = self._exact and other._exact
-            # 1 * p is p: poly_product starts from ONE_POLY, and FI's cofactor is it.
+            # 1 * p is p: prefix_products starts from ONE_POLY, and FI's cofactor is it.
             if exact and (self is ONE_POLY or other is ONE_POLY):
                 return other if self is ONE_POLY else self
             if self.is_zero() or other.is_zero():
@@ -181,7 +182,7 @@ class MotionPoly:
     def orbit(self, point: Sequence[Scalar], ts: Sequence[Scalar]) -> np.ndarray:
         """Float64 images of a point under the motion at every t, as act, shape (len(ts), 3)."""
         x, y, z = map(float, point)
-        values = _horner_many(_coeff_array([self.coeffs]), ts)[:, 0]
+        values = _horner_many(_coeff_array([self]), ts)[:, 0]
         return -conjugate_many(values, (1.0, 0.0, 0.0, 0.0, 0.0, -x, -y, -z), TILDE_ROW)[:, 5:]
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
@@ -321,12 +322,13 @@ def _times(a: DualQuaternion, ra, b: DualQuaternion, rb) -> DualQuaternion:
     return b.scale(ra) if ra is not None else a * b
 
 
-def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
-    """Ordered product factors[0] * factors[1] * ..., a left fold of * from 1.
+def prefix_products(factors: Sequence[MotionPoly]) -> Tuple[MotionPoly, ...]:
+    """1, factors[0], factors[0] * factors[1], ..., the left fold of * from 1 and its steps.
 
-    1 * f turns a float f's -0.0 dual coefficients into 0.0; an exact 1 * f is f.
+    The last entry is the ordered product.  1 * f turns a float f's -0.0
+    dual coefficients into 0.0; an exact 1 * f is f.
     """
-    return reduce(operator.mul, factors, ONE_POLY)
+    return tuple(accumulate(factors, operator.mul, initial=ONE_POLY))
 
 
 # The float lane multiplies coefficients pairwise (norms, dot products), so
@@ -334,21 +336,23 @@ def poly_product(factors: Sequence[MotionPoly]) -> MotionPoly:
 COEFF_ABS_MAX = math.sqrt(sys.float_info.max)
 
 
-def _coeff_array(rows: Sequence[Sequence[DualQuaternion]]) -> np.ndarray:
-    """Float64 rows of dual quaternion sequences, shape (len(rows), max length, 8).
+def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
+    """Float64 coefficients of polynomials, shape (len(polys), max degree + 1, 8).
 
-    Shorter sequences (a polynomial's coefficients) are zero padded on top.
+    Lower degrees are zero padded on top.  Each coefficient is num[i] / den,
+    which CPython rounds correctly for ints of any size, so it equals
+    float(Fraction) of the exact value bit for bit and no Fraction is formed.
     An exact coefficient beyond the float64 range, or beyond COEFF_ABS_MAX
     (about 1.3e154), raises KinematicsError.
     """
-    out = np.zeros((len(rows), max(map(len, rows), default=0), 8))
-    for i, row in enumerate(rows):
-        for k, c in enumerate(row):
+    out = np.zeros((len(polys), max((len(p.num) for p in polys), default=0), 8))
+    for i, p in enumerate(polys):
+        d = p.den
+        for k, c in enumerate(p.num):
             try:
-                out[i, k] = [float(v) for v in c.coeffs()]
+                out[i, k] = [v / d for v in c]
             except OverflowError:
-                v = abs(max(c.coeffs(), key=abs))
-                size = math.log10(v.numerator) - math.log10(v.denominator)
+                size = math.log10(max(map(abs, c))) - math.log10(d)
                 raise KinematicsError(
                     f"an exact coefficient of about 1e{size:+.0f} is beyond the float64 range"
                 ) from None
@@ -370,22 +374,14 @@ def _horner_many(coeffs: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
 
 
 def poses_many(chains: Sequence[Sequence[MotionPoly]], ts: Sequence[Scalar]) -> List[np.ndarray]:
-    """Float64 link poses of each chain at every t, shape (len(ts), len(chain) + 1, 8) each.
+    """Float64 values of each chain's prefix products at every t, shape (len(ts), len(chain), 8).
 
-    Entry [:, j] is the product of the chain's first j factor values, the
-    batched form of linkage.chain_poses.  All chains are rounded and
-    evaluated together and walked in one loop of products: a shorter
-    chain is padded after its end with the factor 1, so its own entries
-    are computed exactly as for it alone.
+    Given Factorization.prefixes(), entry [:, j] is the pose of link j (linkage.chain_poses).
+    All polynomials are rounded once and evaluated in one Horner pass.
     """
-    n = max(map(len, chains))
-    rows = [row for c in chains for row in [f.coeffs for f in c] + [(DQ_ONE,)] * (n - len(c))]
-    values = _horner_many(_coeff_array(rows), ts).reshape(len(ts), len(chains), n, 8)
-    poses = np.empty(values.shape[:2] + (n + 1, 8))
-    poses[:, :, 0] = DQ_ONE_ROW
-    for j in range(n):
-        poses[:, :, j + 1] = dq_mul_many(poses[:, :, j], values[:, :, j])
-    return [poses[:, i, :len(c) + 1] for i, c in enumerate(chains)]
+    values = _horner_many(_coeff_array([p for c in chains for p in c]), ts)
+    ends = list(accumulate(map(len, chains), initial=0))
+    return [values[:, i:j] for i, j in zip(ends, ends[1:])]
 
 
 def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:

@@ -28,7 +28,7 @@ from darboux7r import (
     factor_fiii,
     factor_fiv,
     fiv_companion_fi,
-    poly_product,
+    prefix_products,
     projectively_equal,
     t_squared_plus_one,
     t_grid,
@@ -265,9 +265,9 @@ def test_derivation_refuses_conditions_that_are_not_affine(monkeypatch):
     # zero, and |d1|^2 - |d0|^2 of the quotient has s^2 and u^2 terms but no
     # s u term; the quotient at the solution of the probed system is not
     # circular, which the check on that quotient must report.
-    cubic = poly_product(
+    cubic = prefix_products(
         (MotionPoly.t_minus(dq(h5=1, h6=1, h7=1)), t_squared_plus_one())
-    )
+    )[-1]
     monkeypatch.setattr(darboux, "darboux_c", lambda p: cubic)
     with pytest.raises(ValueError, match="not affine"):
         derive_fi(DarbouxParams(1, 2, 0))
@@ -350,8 +350,8 @@ def test_fiii_is_the_same_for_int_and_fraction_parameters():
 
 def quotient_fiii(f) -> MotionPoly:
     """Q'7 by exact right division: (t^2+1) C over Q'6 Q'5 Q'4^2."""
-    pc = poly_product((darboux_c(f.params), t_squared_plus_one()))
-    return darboux._exact_quotient(pc, poly_product(f.factors[1:]))
+    pc = prefix_products((darboux_c(f.params), t_squared_plus_one()))[-1]
+    return darboux._exact_quotient(pc, prefix_products(f.factors[1:])[-1])
 
 
 def test_fiii_sum_of_roots_factor_is_the_division_quotient():
@@ -379,19 +379,19 @@ def test_one_loop_and_its_verification_form_each_product_once(monkeypatch):
     # factor_fiii's identity check, build_linkage's closure check and verify's
     # residual all read each factorization's kept product and residual.
     formed, compared = [], []
-    poly_product, residual = motionpoly.poly_product, motionpoly.residual
+    prefix_products, residual = motionpoly.prefix_products, motionpoly.residual
 
     def counting(factors):
         formed.append(tuple(factors))
-        return poly_product(factors)
+        return prefix_products(factors)
 
     def comparing(p, c):
         compared.append((p, c))
         return residual(p, c)
 
     for module in (motionpoly, darboux, linkage, conics, serialize, cli):
-        if hasattr(module, "poly_product"):
-            monkeypatch.setattr(module, "poly_product", counting)
+        if hasattr(module, "prefix_products"):
+            monkeypatch.setattr(module, "prefix_products", counting)
         if hasattr(module, "residual"):
             monkeypatch.setattr(module, "residual", comparing)
     p = DarbouxParams(Fraction(3, 2), -1, Fraction(2, 5))
@@ -418,17 +418,17 @@ def test_fiv_loop_forms_each_product_once(monkeypatch):
     # factor_fiv keeps the product its identity check made, so the loop's
     # closure check multiplies neither chain again.
     formed, compared = [], Counter()
-    poly_product, residual = motionpoly.poly_product, motionpoly.residual
+    prefix_products, residual = motionpoly.prefix_products, motionpoly.residual
 
     def counting(factors):
         formed.append(tuple(factors))
-        return poly_product(factors)
+        return prefix_products(factors)
 
     def comparing(p, c):
         compared[p, c] += 1
         return residual(p, c)
 
-    monkeypatch.setattr(darboux, "poly_product", counting)
+    monkeypatch.setattr(darboux, "prefix_products", counting)
     monkeypatch.setattr(darboux, "residual", comparing)
     fi, fiv = fiv_companion_fi(), factor_fiv()
     build_linkage(fi, fiv)

@@ -18,10 +18,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from darboux7r import DualQuaternion, MotionPoly, NotADisplacement, ZeroPrimal  # noqa: E402
+from darboux7r import (  # noqa: E402
+    DarbouxParams,
+    DualQuaternion,
+    MotionPoly,
+    NotADisplacement,
+    SingularChoice,
+    ZeroPrimal,
+    build_linkage,
+    factor_fi,
+    factor_fii,
+    factor_fiii,
+    simulate,
+)
 from darboux7r.dualquat import (  # noqa: E402
     CONJ_ROW,
-    DQ_ONE,
     TILDE_ROW,
     Quaternion,
     _qmul,
@@ -29,7 +40,9 @@ from darboux7r.dualquat import (  # noqa: E402
     dq_mul_many,
     ray_gap,
 )
-from darboux7r.motionpoly import poses_many  # noqa: E402
+from darboux7r.linkage import mobility_many  # noqa: E402
+from darboux7r.motionpoly import _coeff_array, poses_many, prefix_products  # noqa: E402
+from darboux7r.svgplot import render_linkage  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
@@ -134,17 +147,97 @@ chains = st.lists(dual_quaternions.map(MotionPoly.t_minus), min_size=1, max_size
 @settings(max_examples=50, deadline=None)
 @given(chains, chains, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
 def test_chains_walked_together_repeat_each_walk_alone(a, b, ts):
-    # The shorter chain is padded after its end, so its poses keep their bits.
+    # A lower-degree prefix is padded on top, so its values keep their bits:
+    # each is the scalar float evaluation of the rounded prefix product.
     assume(len(a) != len(b))
-    for chain, poses in zip((a, b), poses_many([a, b], ts)):
-        assert poses.shape == (len(ts), len(chain) + 1, 8)
+    prefixes = [prefix_products(a), prefix_products(b)]
+    for chain, poses in zip(prefixes, poses_many(prefixes, ts)):
+        assert poses.shape == (len(ts), len(chain), 8)
         assert np.array_equal(poses, poses_many([chain], ts)[0])
         for i, t in enumerate(ts):
-            pose, walk = DQ_ONE, [row(DQ_ONE)]
-            for f in chain:
-                pose = pose * f.to_float().eval(t)
-                walk.append(row(pose))
+            walk = [row(p.to_float().eval(t)) for p in chain]
             assert np.array_equal(poses[i], np.array(walk))
+
+
+def rounded(num: int, den: int):
+    """num / den and float(Fraction(num, den)) as hex text, or OverflowError, for both."""
+    outcomes = []
+    for divide in (lambda: num / den, lambda: float(Fraction(num, den))):
+        try:
+            outcomes.append(divide().hex())  # hex keeps the sign of a zero
+        except OverflowError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+@st.composite
+def near_overflow(draw):
+    """num, den whose quotient is within 2^972 of 2^1024, where rounding starts to overflow."""
+    den = draw(st.integers(1, 2**1100))
+    top = draw(st.integers(2**1024 - 2**972, 2**1024 + 2**972))
+    return draw(st.sampled_from((1, -1))) * (top * den + draw(st.integers(-den, den))), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-(2**1200), 2**1200), st.integers(1, 2**1200)) | near_overflow())
+def test_int_division_rounds_as_float_of_the_fraction(pair):
+    # _coeff_array rounds num[i] / den: CPython divides ints of any size with
+    # one correct rounding, as float(Fraction) does, and overflows alike.
+    by_ints, by_fraction = rounded(*pair)
+    assert by_ints == by_fraction
+
+
+big_rationals = rationals | st.builds(
+    Fraction, st.integers(-(2**1200), 2**1200), st.integers(2**690, 2**1200)
+)
+big_dual_quaternions = st.lists(big_rationals, min_size=8, max_size=8).map(
+    DualQuaternion.from_coeffs
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(big_dual_quaternions, min_size=1, max_size=3))
+def test_coefficient_rows_are_each_fraction_rounded(coeffs):
+    # A common den of Fractions above 2^1100 makes the ints far larger still.
+    p = MotionPoly(coeffs)
+    expected = np.array([[float(v) for v in c] for c in p.coeffs]).reshape(-1, 8)
+    assert np.array_equal(_coeff_array([p])[0], expected)
+
+
+@st.composite
+def small_loops(draw):
+    """An FI+FII or FI+FIII loop on small rational parameters."""
+    a = draw(rationals.filter(bool))
+    p = DarbouxParams(a, draw(rationals), draw(rationals))
+    if draw(st.booleans()):
+        return build_linkage(factor_fi(p), factor_fii(p))
+    try:
+        return build_linkage(factor_fi(p), factor_fiii(p, draw(rationals), draw(rationals)))
+    except SingularChoice:
+        assume(False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_loops(), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4), points)
+def test_float_lane_rounds_prefixes_without_forming_coefficients(loop, ts, x):
+    # simulate, mobility and plot round every kept prefix product from its
+    # ints and multiply no exact polynomial.  Entries 0 and 1 are the constant
+    # 1 and the first factor, which hold the coefficients they were built from.
+    products = []
+    mul = MotionPoly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MotionPoly, "__mul__", counted)
+        simulate(loop, ts)
+        mobility_many(loop, ts)
+        render_linkage(loop, ts, "xy", x[1:])
+    assert products == []
+    for chain in (loop.chain_a, loop.chain_b):
+        assert [p for p in chain.prefixes()[2:] if "coeffs" in vars(p)] == []
 
 
 def act_rows(h, x: np.ndarray) -> np.ndarray:

@@ -17,12 +17,12 @@ from darboux7r import (
     t_squared_plus_one,
 )
 from darboux7r.dualquat import DQ_ONE, Quaternion
-from darboux7r.motionpoly import ONE_POLY, poly_product, residual
+from darboux7r.motionpoly import ONE_POLY, prefix_products, residual
 
 
 def factorization_residual(factors, target, cofactor):
     """Largest |coefficient| of product(factors) - cofactor * target."""
-    return residual(poly_product(factors), cofactor * target)
+    return residual(prefix_products(factors)[-1], cofactor * target)
 
 
 def dq(h0=0, h1=0, h2=0, h3=0, h4=0, h5=0, h6=0, h7=0) -> DualQuaternion:

@@ -159,3 +159,18 @@ def test_no_module_uses_dataclasses_replace():
             and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
     ]
     assert found == []
+
+
+def test_only_the_conjugation_multiplies_float_rows():
+    # A link pose is its prefix product evaluated at t (motionpoly.poses_many);
+    # a walk of float link products lost the loop's closure at large
+    # parameters, so dq_mul_many serves conjugate_many in dualquat.py alone.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "dualquat.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and (node.id if isinstance(node, ast.Name) else node.attr) == "dq_mul_many"
+    ]
+    assert found == []
