@@ -24,18 +24,19 @@ scalar.  .p, .d and .w/.x/.y/.z read the parts.
 
 One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
 quaternion products inside DualQuaternion.__mul__.  The float64 array
-kernel at the end of the module is the float lane's one conjugation,
-conjugate_many, for both sandwiches at many parameter values at once;
-link poses come to it already evaluated (motionpoly.poses_many), so
-dq_mul_many serves it alone.  It repeats the scalar formulas on (..., 8)
-arrays and gives the scalar float lane's values bit for bit (a NaN's
-sign aside, which IEEE 754 leaves open), and conjugate_many keeps the
-preconditions of act.  Its cost on short grids is the number of numpy
-calls, so _qmul adds one gathered term of a per step, four steps for all
-four components, and dq_mul_many runs its three quaternion products as
-one batch of _qmul.  Each component still adds _hamilton's terms in
-_hamilton's order: IEEE 754 defines x - y as x + (-y), and a * (-b) is
--(a * b) exactly, so the gathered, signed terms round as the scalar ones.
+kernel at the end of the module moves points only: conjugate_many is the
+sandwich of act at many motion values at once (MotionPoly.orbit), since
+joint axes are exact polynomials that the float lane evaluates
+(linkage.axes_many), and dq_mul_many serves it alone.  It repeats the
+scalar formulas on (..., 8) arrays and gives the scalar float lane's
+values bit for bit (a NaN's sign aside, which IEEE 754 leaves open), and
+conjugate_many keeps the preconditions of act.  Its cost on short grids
+is the number of numpy calls, so _qmul adds one gathered term of a per
+step, four steps for all four components, and dq_mul_many runs its three
+quaternion products as one batch of _qmul.  Each component still adds
+_hamilton's terms in _hamilton's order: IEEE 754 defines x - y as
+x + (-y), and a * (-b) is -(a * b) exactly, so the gathered, signed terms
+round as the scalar ones.
 """
 
 from __future__ import annotations
@@ -406,7 +407,6 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
 # operation.  The constant rows are tuples of floats, which broadcast as
 # float64 rows, so importing this module runs no numpy.
 
-CONJ_ROW = (1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0)
 TILDE_ROW = (1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 
 # Term k of _hamilton's component c is a[k] * b[_PERM[k][c]] * _SIGN[k][c].
@@ -449,13 +449,12 @@ def _displacement_norms(h: np.ndarray) -> np.ndarray:
     return n0
 
 
-def conjugate_many(h, g, conj) -> np.ndarray:
-    """Rows h*g*c(h)/n0(h), as (h * g * c(h)) / h.p.norm(), c = conj or tilde by its sign row.
+def conjugate_many(h, g) -> np.ndarray:
+    """Rows h*g*tilde(h)/n0(h), as (h * g * h.tilde()) / h.p.norm().
 
-    CONJ_ROW moves a rotation root g's axis by h, as linkage.axes_at;
-    TILDE_ROW moves a point row x0 - eps*x to x0 - eps*(its image), as
-    act.  Raises as _displacement_norms on a row of h that is no displacement.
+    A point row x0 - eps*x moves to x0 - eps*(its image), as act.  Raises
+    as _displacement_norms on a row of h that is no displacement.
     """
     h = np.asarray(h, dtype=float)
     n0 = _displacement_norms(h)
-    return dq_mul_many(dq_mul_many(h, np.asarray(g, dtype=float)), h * conj) / n0[..., None]
+    return dq_mul_many(dq_mul_many(h, np.asarray(g, dtype=float)), h * TILDE_ROW) / n0[..., None]

@@ -10,19 +10,17 @@ share one line in every configuration).
 Joints are numbered 1..n around the loop: chain A base to coupler in
 factor order, then chain B coupler back to base (reverse factor order).
 The pose of link j at parameter t is the value of its chain's prefix
-product Q1*...*Qj, which the Factorization keeps from the fold that forms
-its product; axes are stored in the chain's reference placement and
-transported by those poses.  Building a loop transports no axis: the
-exact home axes (t = 0), which only the linkage JSON and the
-parallel-group and Sarrus analysis read, are computed on first use.
+product P = Q1*...*Qj, which the Factorization keeps from the fold that
+forms its product, and the axis of the joint after it is its root h moved
+by P: P*h*conj(P)/n0(P).  Linkage.axis_polys forms the polynomials
+P*h*conj(P) once per loop, on first use; building a loop forms no axis.
 
-Two lanes evaluate the prefixes: chain_poses and axes_at at one exact (or
-float) parameter through MotionPoly.eval, while simulate and mobility
-sample float64 arrays of parameters through motionpoly.poses_many, which
-rounds both chains' prefixes once and evaluates them in one Horner pass,
-so a one-sample call pays the kernel's fixed cost once, not once per chain.
-Both form a joint's axis from its root h and link pose P as P*h*conj(P)/n0(P)
-(on floats, dualquat.conjugate_many).
+Two lanes evaluate the kept polynomials: chain_poses and axes_at at one
+exact (or float) parameter, axes_at on ints, while simulate and mobility
+sample float64 arrays of parameters: motionpoly.poses_many rounds both
+chains' prefixes once per call and evaluates them in one Horner pass, and
+axes_many evaluates the axis polynomials, rounded once per loop, over n0
+of those poses.
 Each joint's reference axis is the one Factorization.check_rotation_chain
 gets from its rotation test, so building a loop classifies each root once.
 trace_point decides a coupler point's orbit exactly, for all t at once
@@ -40,17 +38,15 @@ from ._numpy import np
 from .darboux import Factorization
 from .dualquat import (
     AxisLine,
-    CONJ_ROW,
     DualQuaternion,
     _displacement_norms,
     _dot,
-    conjugate_many,
     projectively_equal,
     ray_gap,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
-from .motionpoly import MotionPoly, _coeff_array, poses_many
-from .scalars import Scalar, is_exact, sdiv
+from .motionpoly import MotionPoly, _coeff_array, _horner_many, poses_many
+from .scalars import Scalar, cleared, is_exact, sdiv
 
 RANK_RTOL = 1e-8
 
@@ -75,8 +71,8 @@ class Linkage:
 
     product_a is the exact product of chain A's factors that chain_a keeps
     from the closure check; the closure certificate, coupler traces and plot
-    overlays read it.  home_axes forms the exact t = 0 axes on its first
-    call and keeps them.
+    overlays read it.  axis_polys, the rounded axis coefficients and
+    home_axes are formed on first use and kept.
     """
 
     chain_a: Factorization
@@ -96,9 +92,14 @@ class Linkage:
         """axes_at(self, 0): the exact world axes at t = 0, in cycle order."""
         return self._home_axes
 
+    _home_axes = cached_property(lambda self: axes_at(self, 0))
+
     @cached_property
-    def _home_axes(self) -> Tuple[AxisLine, ...]:
-        return axes_at(self, 0)
+    def axis_polys(self) -> Tuple[MotionPoly, ...]:
+        """P*h*conj(P) of every joint in cycle order, h its root and P the prefix before it."""
+        return tuple([p * j.root * p.conj() for j, p in zip(self.joints, _joint_prefixes(self))])
+
+    _axis_coeffs = cached_property(lambda self: _coeff_array(self.axis_polys))
 
 
 def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
@@ -163,38 +164,40 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     return float(_angles(_coeff_array([MotionPoly((root,))])[0], [t])[0, 0])
 
 
+def _joint_prefixes(linkage: Linkage) -> List[MotionPoly]:
+    """The prefix product before every joint in cycle order: its link pose polynomial."""
+    chains = {"A": linkage.chain_a, "B": linkage.chain_b}
+    return [chains[j.chain].prefixes()[j.factor_indices[0]] for j in linkage.joints]
+
+
+def _scaled_value(rows: Sequence[DualQuaternion], p: Scalar, q: Scalar) -> DualQuaternion:
+    """q^d * N(p/q) for the rows of a polynomial N of degree d, by Horner: ints for ints."""
+    acc = rows[-1]
+    for i, c in enumerate(reversed(rows[:-1]), 1):
+        acc = acc.scale(p) + c.scale(q**i)
+    return acc
+
+
 def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     """World axis line of every joint at parameter t, in cycle order (scalar lane).
 
-    A joint's axis is that of its root h conjugated by its link pose P,
-    the chain's prefix product before the joint at t: P*h*conj(P)/n0(P).
-    The work stays on ints: each prefix's numerators are evaluated at t
-    and the values cleared of denominators together (a pose's real scale
-    cancels), each factor d*(t - h) gives d*h, and each coordinate is
-    divided once.  At t = 0 the values are the constant numerators.
-    Float and symbolic factors keep scale 1.
+    A joint's axis is A(t)/n0(P(t)), A = P*h*conj(P) of linkage.axis_polys
+    (direction: the primal vector part, moment: minus the dual vector part).
+    For t = p/q, A's and P's numerators are evaluated on ints at p/q times
+    q^deg; deg A = 2 deg P, so the powers of q cancel.
     """
-    axes = {}
-    for side, f in (("A", linkage.chain_a), ("B", linkage.chain_b)):
-        # The values at t as the coefficients of one polynomial, cleared together.
-        poses = MotionPoly(tuple([p.integral()[0].eval(t) for p in f.prefixes()[:-1]])).num
-        for k, (factor, pose) in enumerate(zip(f.factors, poses)):
-            q, d = factor.integral()  # d*(t - h), d
-            x = pose * -q.coeff(0) * pose.conj()
-            s = pose.p.norm() * d
-            axes[side, k] = AxisLine(
-                tuple(sdiv(v, s) for v in x.p.vector), tuple(sdiv(-v, s) for v in x.d.vector)
-            )
-    return tuple(axes[j.chain, j.factor_indices[0]] for j in linkage.joints)
+    p, q = cleared(t)  # a float or symbolic t gives (t, 1)
+    axes = []
+    for a, pose in zip(linkage.axis_polys, _joint_prefixes(linkage)):
+        x = _scaled_value(a.num, p, q).scale(pose.den**2)
+        s = _scaled_value(pose.num, p, q).p.norm() * a.den  # A(t)/n0(P(t)) = x/s
+        direction, moment = ([sdiv(v, s) for v in u] for u in (x[1:4], (-x)[5:]))
+        axes.append(AxisLine(tuple(direction), tuple(moment)))
+    return tuple(axes)
 
 
 def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> List[np.ndarray]:
     return poses_many((linkage.chain_a.prefixes(), linkage.chain_b.prefixes()), ts)
-
-
-def _root_rows(linkage: Linkage) -> np.ndarray:
-    """The joints' roots as float64 rows (n, 8), the coefficients of one polynomial."""
-    return _coeff_array([MotionPoly(tuple([j.root for j in linkage.joints]))])[0]
 
 
 def _joint_poses(linkage: Linkage, poses_a, poses_b) -> np.ndarray:
@@ -204,16 +207,16 @@ def _joint_poses(linkage: Linkage, poses_a, poses_b) -> np.ndarray:
     return np.concatenate((poses_a, poses_b), axis=1)[:, pick]
 
 
-def _axes_from_poses(joint_poses: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """World axis rows [direction, moment] of every joint, shape (N, n, 6), as axes_at."""
-    x = conjugate_many(joint_poses, roots, CONJ_ROW)
-    return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)  # -(v/n0) is (-v)/n0
+def _axes_over(linkage: Linkage, ts: Sequence[Scalar], poses_a, poses_b) -> np.ndarray:
+    """Axis rows [direction, moment] at every t: the rounded axis_polys over n0 of the poses."""
+    n0 = _displacement_norms(_joint_poses(linkage, poses_a, poses_b))
+    x = _horner_many(linkage._axis_coeffs, ts) / n0[..., None]
+    return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)
 
 
 def axes_many(linkage: Linkage, ts: Sequence[Scalar]) -> np.ndarray:
     """Float64 axes_at for every t: rows [direction, moment], shape (len(ts), n, 6)."""
-    poses = _joint_poses(linkage, *_both_chains_many(linkage, ts))
-    return _axes_from_poses(poses, _root_rows(linkage))
+    return _axes_over(linkage, ts, *_both_chains_many(linkage, ts))
 
 
 def _unit_screws(axes: np.ndarray) -> np.ndarray:
@@ -342,8 +345,7 @@ class Samples:
 
     t (N,), angles (N, n), poses_a / poses_b the link poses of each chain
     (N, k + 1, 8), closure_residual (N,); axes, the joint axes (N, n, 6) as
-    direction then moment, formed from joint_poses (N, n, 8) and roots (n, 8)
-    on first read.
+    direction then moment, formed on first read as axes_many forms them.
     """
 
     t: np.ndarray
@@ -351,12 +353,11 @@ class Samples:
     poses_a: np.ndarray
     poses_b: np.ndarray
     closure_residual: np.ndarray
-    joint_poses: np.ndarray
-    roots: np.ndarray
+    linkage: Linkage
 
     @cached_property
     def axes(self) -> np.ndarray:
-        return _axes_from_poses(self.joint_poses, self.roots)
+        return _axes_over(self.linkage, self.t, self.poses_a, self.poses_b)
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
@@ -369,12 +370,11 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64)."""
     poses_a, poses_b = _both_chains_many(linkage, ts)
-    roots = _root_rows(linkage)
+    roots = _coeff_array([MotionPoly(tuple([j.root for j in linkage.joints]))])[0]
     angles = [j.multiplicity for j in linkage.joints] * _angles(roots, ts)
-    joint_poses = _joint_poses(linkage, poses_a, poses_b)
-    _displacement_norms(joint_poses)  # what forming the axes would refuse, read or not
+    _displacement_norms(_joint_poses(linkage, poses_a, poses_b))  # what the axes would refuse
     residual = ray_gap(poses_a[:, -1], poses_b[:, -1])
-    return Samples(np.asarray(ts, float), angles, poses_a, poses_b, residual, joint_poses, roots)
+    return Samples(np.asarray(ts, float), angles, poses_a, poses_b, residual, linkage)
 
 
 def trace_point(

@@ -37,7 +37,7 @@ from itertools import accumulate, zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
-from .dualquat import DQ_ONE, TILDE_ROW, DualQuaternion, _tuple, conjugate_many, viszero
+from .dualquat import DQ_ONE, DualQuaternion, _tuple, conjugate_many, viszero
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
 from .scalars import Scalar, is_exact, sdiv
 
@@ -183,7 +183,7 @@ class MotionPoly:
         """Float64 images of a point under the motion at every t, as act, shape (len(ts), 3)."""
         x, y, z = map(float, point)
         values = _horner_many(_coeff_array([self]), ts)[:, 0]
-        return -conjugate_many(values, (1.0, 0.0, 0.0, 0.0, 0.0, -x, -y, -z), TILDE_ROW)[:, 5:]
+        return -conjugate_many(values, (1.0, 0.0, 0.0, 0.0, 0.0, -x, -y, -z))[:, 5:]
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
         """Right evaluation: sum of coeffs[k] * h^k with powers on the right.

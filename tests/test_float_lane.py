@@ -2,9 +2,10 @@
 
 simulate, mobility and plot sample float64 arrays: motionpoly.poses_many
 rounds each chain's kept prefix products once and evaluates them at
-every t, and dualquat.conjugate_many forms each axis from its root and
-link pose as axes_at does.  Here each sample is recomputed on the exact
-lane at the same parameter value (Fraction(t) is exactly the float t),
+every t, and linkage.axes_many evaluates the loop's exact axis
+polynomials P*h*conj(P), rounded once, over n0 of the joint poses, as
+axes_at does on ints.  Here each sample is recomputed on the exact lane
+at the same parameter value (Fraction(t) is exactly the float t),
 converted to float and compared, also at parameters far from 1.
 """
 
@@ -14,9 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from darboux7r import (
     DarbouxParams,
+    SingularChoice,
     build_linkage,
     factor_fi,
     factor_fii,
@@ -154,21 +158,46 @@ def test_poses_stay_within_a_few_ulps_at_large_parameters(kind, b):
     assert np.all(ray_gap(poses[0][:, -1], poses[1][:, -1]) <= POSE_ULPS_TOL)
 
 
-# The largest error of axes_many against axes_at at Fraction(t), relative to
-# each axis's largest coordinate, as measured on both loop types (FI+FIII
-# sets it: 8.9e-13 at b = 10^4, 9.2e-11 at b = 10^6).  The conjugation of a
-# root by a pose whose dual part is b times its primal part loses digits to
-# cancellation; the ranks mobility prints from these axes are not claimed
-# here (the rank over-report at large b is open).
-AXES_REL_TOL = {2: 1e-15, 10**4: 2e-12, 10**6: 2e-10}
+# axes_many evaluates the exact axis polynomials, each coefficient rounded
+# once, and divides by n0 of the rounded poses, so every coordinate of an
+# axis stays within a few ulps of the axis's largest coordinate, however far
+# the moments grow with b (measured: at most 5.7e-16 on these two loops up
+# to b = 10^6, 7.8e-16 on random loops).
+AXES_ULPS_TOL = 8 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("b", sorted(AXES_REL_TOL))
-@pytest.mark.parametrize("kind", ["FI+FII", "FI+FIII"])
-def test_axes_error_at_large_parameters_is_bounded(kind, b):
-    l = loop(kind, DarbouxParams(Fraction(3, 2), Fraction(b), Fraction(2, 5)))
-    batched = axes_many(l, TS)
-    for i, t in enumerate(TS):
+def assert_axes_within_a_few_ulps(l, ts) -> None:
+    batched = axes_many(l, ts)
+    for i, t in enumerate(ts):
         exact = axis_rows(axes_at(l, Fraction(t)))
         scale = np.abs(exact).max(axis=-1, keepdims=True)
-        assert np.all(np.abs(batched[i] - exact) <= AXES_REL_TOL[b] * scale)
+        assert np.all(np.abs(batched[i] - exact) <= AXES_ULPS_TOL * scale)
+
+
+@pytest.mark.parametrize("b", [2, 10**4, 10**6])
+@pytest.mark.parametrize("kind", ["FI+FII", "FI+FIII"])
+def test_axes_error_at_large_parameters_is_bounded(kind, b):
+    assert_axes_within_a_few_ulps(
+        loop(kind, DarbouxParams(Fraction(3, 2), Fraction(b), Fraction(2, 5))), TS
+    )
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["FI+FII", "FI+FIII"]),
+    rationals.filter(bool),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 9)),
+    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+)
+def test_axes_of_random_loops_stay_within_a_few_ulps(kind, a, b, cxy, ts):
+    c, x, y = cxy
+    p = DarbouxParams(a, b, c)
+    try:
+        l = build_linkage(factor_fi(p), factor_fii(p) if kind == "FI+FII" else factor_fiii(p, x, y))
+    except SingularChoice:
+        assume(False)
+    assert_axes_within_a_few_ulps(l, ts)

@@ -32,8 +32,6 @@ from darboux7r import (  # noqa: E402
     simulate,
 )
 from darboux7r.dualquat import (  # noqa: E402
-    CONJ_ROW,
-    TILDE_ROW,
     Quaternion,
     _qmul,
     conjugate_many,
@@ -221,8 +219,13 @@ def small_loops(draw):
 @given(small_loops(), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4), points)
 def test_float_lane_rounds_prefixes_without_forming_coefficients(loop, ts, x):
     # simulate, mobility and plot round every kept prefix product from its
-    # ints and multiply no exact polynomial.  Entries 0 and 1 are the constant
-    # 1 and the first factor, which hold the coefficients they were built from.
+    # ints.  simulate multiplies no exact polynomial; mobility and plot
+    # multiply only in the loop's one axis build, P * h, then * conj(P), for
+    # each joint, on the first call on a Linkage and never again.  Entries 0
+    # and 1 are the constant 1 and the first factor, which hold the
+    # coefficients they were built from.
+    twin = build_linkage(loop.chain_a, loop.chain_b)
+    build = 2 * loop.joint_count
     products = []
     mul = MotionPoly.__mul__
 
@@ -230,19 +233,26 @@ def test_float_lane_rounds_prefixes_without_forming_coefficients(loop, ts, x):
         products.append((self, other))
         return mul(self, other)
 
+    def count(call) -> int:
+        products.clear()
+        call()
+        return len(products)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MotionPoly, "__mul__", counted)
-        simulate(loop, ts)
-        mobility_many(loop, ts)
-        render_linkage(loop, ts, "xy", x[1:])
-    assert products == []
+        assert count(lambda: simulate(loop, ts)) == 0
+        assert count(lambda: mobility_many(loop, ts)) == build
+        assert count(lambda: render_linkage(loop, ts, "xy", x[1:])) == 0
+        assert count(lambda: mobility_many(loop, ts)) == 0
+        assert count(lambda: render_linkage(twin, ts, "xy", x[1:])) == build
+        assert count(lambda: render_linkage(twin, ts, "xy", x[1:])) == 0
     for chain in (loop.chain_a, loop.chain_b):
         assert [p for p in chain.prefixes()[2:] if "coeffs" in vars(p)] == []
 
 
 def act_rows(h, x: np.ndarray) -> np.ndarray:
-    """DualQuaternion.act on rows h: the point sandwich of conjugate_many with TILDE_ROW."""
-    y = conjugate_many(h, (x[0], 0, 0, 0, 0, -x[1], -x[2], -x[3]), TILDE_ROW)
+    """DualQuaternion.act on rows h: the point sandwich of conjugate_many."""
+    y = conjugate_many(h, (x[0], 0, 0, 0, 0, -x[1], -x[2], -x[3]))
     return np.concatenate((np.broadcast_to(x[:1], y.shape[:-1] + (1,)), -y[..., 5:]), axis=-1)
 
 
@@ -302,27 +312,27 @@ def test_one_bad_sample_fails_the_batch(hs, k, x):
     with pytest.raises(NotADisplacement):
         act_rows(rows, floats(x))
     with pytest.raises(NotADisplacement):
-        conjugate_many(rows, row(hs[0]), CONJ_ROW)
+        conjugate_many(rows, row(hs[0]))
     rows[k % len(hs)] = 0.0
     with pytest.raises(ZeroPrimal):
         act_rows(rows, floats(x))
     with pytest.raises(ZeroPrimal):
-        conjugate_many(rows, row(hs[0]), CONJ_ROW)
+        conjugate_many(rows, row(hs[0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(displacements(), dual_quaternions | float_dual_quaternions)
 def test_conjugation_repeats_scalar_conjugation(h, g):
     f = h.to_float()
-    x = f * g.to_float() * f.conj()
+    x = f * g.to_float() * f.tilde()
     scalar = floats(v / f.p.norm() for v in x.coeffs())
     with np.errstate(all="ignore"):
-        batched = conjugate_many(row(h), row(g), CONJ_ROW)
+        batched = conjugate_many(row(h), row(g))
     assert np.array_equal(batched, scalar, equal_nan=True)
     numbers = ~np.isnan(scalar)
     assert np.array_equal(np.signbit(scalar[numbers]), np.signbit(batched[numbers]))
     if not g.is_float():
-        exact = h * g * h.conj()
+        exact = h * g * h.tilde()
         assert close(batched, floats(v / h.p.norm() for v in exact.coeffs()))
 
 
