@@ -3,19 +3,22 @@
 A point x moves under a motion polynomial P on Y(t) = P*(1 - eps*x)*P~,
 where P~ negates h1..h4 of each coefficient of P: the primal part of Y
 is the norm polynomial n0 of P, and the dual part is -n0 times the image
-of x.  Y is formed on int numerators and divided by t^2 + 1, down to
-degree 2, while the remainder is exactly zero.  For the Darboux motion
-(n0 = (t^2 + 1)^3) every point reduces to (A0 + A1 t + A2 t^2)/(1 + t^2);
-with t = tan(phi/2) that is M + U cos(phi) + V sin(phi), where
-M = (A0 + A2)/2, U = (A0 - A2)/2 and V = A1/2.  The class follows with
-zero tolerance: an ellipse when U x V != 0, a circle when also
-(U.V, |U|^2 - |V|^2) = (0, 0), a doubly covered segment when U x V = 0
-but U or V is nonzero, and a fixed point when U = V = 0.  Y is affine in
-x, so the orbits of four affinely independent points decide every orbit.
+of x.  MotionPoly.point_orbit forms Y on int numerators; Y is divided by
+t^2 + 1, down to degree 2, while the remainder is exactly zero.  For the
+Darboux motion (n0 = (t^2 + 1)^3) every point reduces to
+(A0 + A1 t + A2 t^2)/(1 + t^2); with t = tan(phi/2) that is
+M + U cos(phi) + V sin(phi), where M = (A0 + A2)/2, U = (A0 - A2)/2 and
+V = A1/2.  The class follows with zero tolerance: an ellipse when
+U x V != 0, a circle when also (U.V, |U|^2 - |V|^2) = (0, 0), a doubly
+covered segment when U x V = 0 but U or V is nonzero, and a fixed point
+when U = V = 0.  Y is affine in x, so the orbits of four affinely
+independent points decide every orbit.
 
-The float lane's orbit samples (what svgplot draws) are taken first, so
-float-range errors surface as they do for the other sampling commands,
-and their largest distance from the exact conic is reported.
+trace_fit forms Y once per point and reads it twice: rounded once and
+evaluated at every t, the float lane's orbit (MotionPoly.orbit, what
+svgplot draws), whose largest distance from the exact conic it reports,
+and divided exactly.  The samples come first, so a coefficient of Y
+beyond float64 exits as it does for the other sampling commands.
 
 trace_fit keeps its module and name because the benchmark tracer
 (bench/tracer.py) wraps conics.trace_fit and linkage.trace_point by
@@ -30,10 +33,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
-from .dualquat import DualQuaternion, Vec3, vcross, vdot, viszero
+from .dualquat import Vec3, vcross, vdot, viszero
 from .errors import KinematicsError
-from .motionpoly import MotionPoly, t_squared_plus_one
-from .scalars import Scalar, cleared
+from .motionpoly import MotionPoly, orbit_samples, t_squared_plus_one
+from .scalars import Scalar
 
 
 class ConicClass(Enum):
@@ -63,36 +66,26 @@ class TrajectoryReport:
     semi_axes: Optional[Tuple[float, float]]
 
 
-def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, Vec3]:
-    """Exact (M, U, V) with the orbit of point under poly M + U cos(phi) + V sin(phi).
+def conic_orbit(orbit: MotionPoly) -> Tuple[Vec3, Vec3, Vec3]:
+    """Exact (M, U, V) of an orbit polynomial Y = P*(1 - eps*x)*P~ (MotionPoly.point_orbit).
 
-    The orbit is poly*(1 - eps*x)*poly~, poly~ the tilde of each coefficient.
-    A float coordinate or coefficient is taken as the binary rational it
-    is.  Raises KinematicsError when the orbit does not reduce to a
-    quadratic over t^2 + 1, naming the degree it reduces to.
+    The orbit of x under P is M + U cos(phi) + V sin(phi).  Raises
+    KinematicsError when Y does not reduce to a quadratic over t^2 + 1,
+    naming the degree it reduces to.
     """
-    if poly.is_float():
-        rows = [DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in poly.coeffs]
-        poly = MotionPoly(tuple(rows))
-    scaled = poly.integral()[0]  # its den, like the point's d, cancels in M, U and V
-    x, y, z, d = cleared(*map(Fraction, point))
-    orbit = (
-        scaled
-        * MotionPoly.constant(DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z)))
-        * MotionPoly(tuple([h.tilde() for h in scaled.coeffs]))
-    )
     while orbit.degree > 2:
         quot, rem = orbit.divmod_right(t_squared_plus_one())
         if not rem.is_zero():
             break
         orbit = quot
-    alpha = orbit.coeff(0).p.w
-    primal = [orbit.coeff(k).p for k in range(3)]  # must be alpha * (1 + t^2)
-    if orbit.degree != 2 or alpha == 0 or primal != [(alpha, 0, 0, 0), (0,) * 4, (alpha, 0, 0, 0)]:
+    rows = orbit.num  # its den cancels in M, U and V
+    alpha = rows[0][0] if rows else 0
+    primal = [h[:4] for h in rows]  # must be alpha * (1 + t^2)
+    if alpha == 0 or primal != [(alpha, 0, 0, 0), (0,) * 4, (alpha, 0, 0, 0)]:
         raise KinematicsError(
             f"the orbit does not reduce to a conic over t^2 + 1: reduced degree {orbit.degree}"
         )
-    a0, a1, a2 = (orbit.coeff(k).d.vector for k in range(3))
+    a0, a1, a2 = (h[5:] for h in rows)
     den = -2 * alpha  # A_k = -a_k / alpha
     return (
         tuple(Fraction(p + q, den) for p, q in zip(a0, a2)),
@@ -103,8 +96,9 @@ def conic_orbit(poly: MotionPoly, point: Sequence[Scalar]) -> Tuple[Vec3, Vec3, 
 
 def trace_fit(poly: MotionPoly, point: Sequence[Scalar], ts: Sequence[float]) -> TrajectoryReport:
     """The exact orbit of point under poly, classified, and its gap to the float orbit at ts."""
-    samples = poly.orbit(point, ts)
-    mean, u, v = conic_orbit(poly, point)
+    orbit = poly.point_orbit(point)
+    samples = orbit_samples(orbit, ts)
+    mean, u, v = conic_orbit(orbit)
     phi = 2 * np.arctan(np.asarray(ts, dtype=float))[:, None]
     fm, fu, fv = np.array([[float(c) for c in vec] for vec in (mean, u, v)])
     conic = fm + np.cos(phi) * fu + np.sin(phi) * fv

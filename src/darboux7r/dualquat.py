@@ -23,20 +23,11 @@ over its coefficients, so scaling goes through scale() or a Python
 scalar.  .p, .d and .w/.x/.y/.z read the parts.
 
 One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
-quaternion products inside DualQuaternion.__mul__.  The float64 array
-kernel at the end of the module moves points only: conjugate_many is the
-sandwich of act at many motion values at once (MotionPoly.orbit), since
-joint axes are exact polynomials that the float lane evaluates
-(linkage.axes_many), and dq_mul_many serves it alone.  It repeats the
-scalar formulas on (..., 8) arrays and gives the scalar float lane's
-values bit for bit (a NaN's sign aside, which IEEE 754 leaves open), and
-conjugate_many keeps the preconditions of act.  Its cost on short grids
-is the number of numpy calls, so _qmul adds one gathered term of a per
-step, four steps for all four components, and dq_mul_many runs its three
-quaternion products as one batch of _qmul.  Each component still adds
-_hamilton's terms in _hamilton's order: IEEE 754 defines x - y as
-x + (-y), and a * (-b) is -(a * b) exactly, so the gathered, signed terms
-round as the scalar ones.
+quaternion products inside DualQuaternion.__mul__.  The float lane
+multiplies no dual quaternions: poses, axes and point orbits are exact
+polynomials, rounded once and evaluated (motionpoly).  Its float64 row
+helpers here are _displacement_norms, act's preconditions on many pose
+rows at once, and ray_gap, the distance between two rows' rays.
 """
 
 from __future__ import annotations
@@ -79,11 +70,7 @@ def _dot4(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 
 def _hamilton(a: Sequence[Scalar], b: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-    """Hamilton product of coefficient 4-tuples (w, x, y, z).
-
-    The terms are added in the order of the array kernel's _qmul, so on
-    floats the two agree bit for bit.
-    """
+    """Hamilton product of coefficient 4-tuples (w, x, y, z)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return (
@@ -352,6 +339,23 @@ def ray_gap(u, v) -> np.ndarray:
     return np.where((nu == 0) | (nv == 0), np.where(nu == nv, 0.0, np.inf), gap)
 
 
+def _displacement_norms(h: np.ndarray) -> np.ndarray:
+    """Primal norms n0 of displacement rows, after checking act's preconditions.
+
+    Raises ZeroPrimal if a row's n0 is 0 and NotADisplacement if a row's
+    norm is not real to the float tolerance of has_real_norm; a NaN row
+    fails that test.
+    """
+    p, d = h[..., :4], h[..., 4:]
+    n0 = _dot(p, p)
+    n1 = 2 * _dot(p, d)
+    if np.any(n0 == 0):
+        raise ZeroPrimal("cannot act with zero primal part")
+    if not np.all(np.abs(n1) <= _FLOAT_REAL_NORM_RTOL * np.maximum(1.0, np.abs(n0))):
+        raise NotADisplacement("norm has a nonzero dual part")
+    return n0
+
+
 @dataclass(frozen=True)
 class AxisLine:
     """Line in 3-space with direction d and moment m = point x d (d . m = 0).
@@ -397,64 +401,3 @@ def transform_axis(pose: DualQuaternion, ax: AxisLine) -> AxisLine:
     q1 = pose.act((1, *p1))[1:]
     q2 = pose.act((1, *p2))[1:]
     return AxisLine(tuple(b - a for a, b in zip(q1, q2)), vcross(q1, q2))
-
-
-# --- float64 array kernel ------------------------------------------------
-#
-# A dual quaternion is a row [h0..h7] (primal then dual), a quaternion a
-# row [w, x, y, z] and a projective point a row [x0..x3]; leading axes
-# broadcast.  Each formula repeats its scalar counterpart operation by
-# operation.  The constant rows are tuples of floats, which broadcast as
-# float64 rows, so importing this module runs no numpy.
-
-TILDE_ROW = (1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
-
-# Term k of _hamilton's component c is a[k] * b[_PERM[k][c]] * _SIGN[k][c].
-_PERM = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_SIGN = ((1.0,) * 4, (-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1.0, -1.0), (-1.0, -1.0, 1.0, 1.0))
-# DualQuaternion.__mul__'s products p1 p2, p1 d2 and d1 p2 as one batch.
-_LEFT = (0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7)
-_RIGHT = (0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3)
-
-
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton products a * b of quaternion rows, as _hamilton (bit for bit)."""
-    acc = a[..., 0:1] * b
-    for k in range(1, 4):
-        acc += a[..., k:k + 1] * (b[..., _PERM[k]] * _SIGN[k])
-    return acc
-
-
-def dq_mul_many(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Products h * g of dual quaternion rows, as DualQuaternion.__mul__."""
-    r = _qmul(h[..., _LEFT].reshape(h.shape[:-1] + (3, 4)),
-              g[..., _RIGHT].reshape(g.shape[:-1] + (3, 4)))
-    return np.concatenate((r[..., 0, :], r[..., 1, :] + r[..., 2, :]), axis=-1)
-
-
-def _displacement_norms(h: np.ndarray) -> np.ndarray:
-    """Primal norms n0 of displacement rows, after checking act's preconditions.
-
-    Raises ZeroPrimal if a row's n0 is 0 and NotADisplacement if a row's
-    norm is not real to the float tolerance of has_real_norm; a NaN row
-    fails that test.
-    """
-    p, d = h[..., :4], h[..., 4:]
-    n0 = _dot(p, p)
-    n1 = 2 * _dot(p, d)
-    if np.any(n0 == 0):
-        raise ZeroPrimal("cannot act with zero primal part")
-    if not np.all(np.abs(n1) <= _FLOAT_REAL_NORM_RTOL * np.maximum(1.0, np.abs(n0))):
-        raise NotADisplacement("norm has a nonzero dual part")
-    return n0
-
-
-def conjugate_many(h, g) -> np.ndarray:
-    """Rows h*g*tilde(h)/n0(h), as (h * g * h.tilde()) / h.p.norm().
-
-    A point row x0 - eps*x moves to x0 - eps*(its image), as act.  Raises
-    as _displacement_norms on a row of h that is no displacement.
-    """
-    h = np.asarray(h, dtype=float)
-    n0 = _displacement_norms(h)
-    return dq_mul_many(dq_mul_many(h, np.asarray(g, dtype=float)), h * TILDE_ROW) / n0[..., None]

@@ -23,7 +23,8 @@ leading coefficient) in plain scalar arithmetic, with sums started from
 zero, as 0 + -0.0 is 0.0; an exact operand that meets one takes part by its coeffs.
 The float lane rounds each coefficient once, num[i] / den on ints, and
 evaluates many polynomials at many t in one Horner pass: a chain's link
-poses are its prefix products, and orbit moves a point by one polynomial.
+poses are its prefix products, and a point's orbit is its orbit
+polynomial P*(1 - eps*x)*P~ (point_orbit), formed on ints.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from itertools import accumulate, zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
-from .dualquat import DQ_ONE, DualQuaternion, _tuple, conjugate_many, viszero
+from .dualquat import DQ_ONE, DualQuaternion, _tuple, viszero
 from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
-from .scalars import Scalar, is_exact, sdiv
+from .scalars import Scalar, cleared, is_exact, sdiv
 
 
 def _trim(coeffs: Sequence) -> Tuple:
@@ -168,6 +169,9 @@ class MotionPoly:
     def conj(self) -> "MotionPoly":
         return _poly(tuple([c.conj() for c in self.num]), self.den, self._exact)
 
+    def tilde(self) -> "MotionPoly":
+        return _poly(tuple([c.tilde() for c in self.num]), self.den, self._exact)
+
     def norm_poly(self) -> "MotionPoly":
         """Norm polynomial C * conj(C); real exactly for motion polynomials."""
         return self * self.conj()
@@ -179,11 +183,26 @@ class MotionPoly:
             acc = acc.scale(t) + c
         return acc
 
+    def point_orbit(self, point: Sequence[Scalar]) -> "MotionPoly":
+        """The orbit polynomial Y = P*(1 - eps*x)*P~ of a point x, formed on ints.
+
+        Y is the product of P's int numerators, d - eps*(d*x) for the point's
+        common denominator d, and the numerators' tilde, over den(P)^2 * d.
+        Its primal part is n0(P), and its dual vector part is minus n0(P)
+        times the image of x (DualQuaternion.act).  A float coefficient or
+        coordinate is taken as the binary rational it is.
+        """
+        p = self
+        if p.is_float():
+            p = MotionPoly([DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in p.num])
+        p, den = p.integral()
+        x, y, z, d = cleared(*map(Fraction, point))
+        orbit = p * DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z)) * p.tilde()
+        return orbit.over(den * den * d)
+
     def orbit(self, point: Sequence[Scalar], ts: Sequence[Scalar]) -> np.ndarray:
         """Float64 images of a point under the motion at every t, as act, shape (len(ts), 3)."""
-        x, y, z = map(float, point)
-        values = _horner_many(_coeff_array([self]), ts)[:, 0]
-        return -conjugate_many(values, (1.0, 0.0, 0.0, 0.0, 0.0, -x, -y, -z))[:, 5:]
+        return orbit_samples(self.point_orbit(point), ts)
 
     def eval_right(self, h: DualQuaternion) -> DualQuaternion:
         """Right evaluation: sum of coeffs[k] * h^k with powers on the right.
@@ -371,6 +390,12 @@ def _horner_many(coeffs: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
     for k in range(coeffs.shape[1] - 1, -1, -1):
         acc = acc * t + coeffs[:, k]
     return acc
+
+
+def orbit_samples(orbit: MotionPoly, ts: Sequence[Scalar]) -> np.ndarray:
+    """-vec(dual Y(t))/Y0(t) at every t for an orbit polynomial Y (point_orbit), rounded once."""
+    y = _horner_many(_coeff_array([orbit]), ts)[:, 0]
+    return -y[:, 5:] / y[:, :1]
 
 
 def poses_many(chains: Sequence[Sequence[MotionPoly]], ts: Sequence[Scalar]) -> List[np.ndarray]:

@@ -224,7 +224,7 @@ def test_trace_point_is_the_rational_typed(capsys):
     assert code == 0
     doc = json.loads(out)
     point = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
-    assert orbit_of(doc) == conic_orbit(factor_fi(PARAMS).product(), point)
+    assert orbit_of(doc) == conic_orbit(factor_fi(PARAMS).product().point_orbit(point))
     assert doc["point"] == [0.5, -1 / 3, 2.0]
 
 
@@ -669,7 +669,9 @@ def test_exact_commands_take_parameters_beyond_float_range(capsys):
     ],
 )
 def test_coefficients_whose_squares_overflow_float64_exit_two(capsys, argv):
-    size = argv[-1].split("e")[1]
+    size = int(argv[-1].split("e")[1])
+    if argv[0] == "trace":  # it rounds the orbit polynomial, about 10 times the parameter
+        size += 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning either
         code, out, err = run(capsys, *argv)
@@ -747,11 +749,14 @@ def test_plot_takes_one_point(capsys):
 
 @pytest.mark.parametrize(
     "command, b",
-    [("simulate", "1e8"), ("mobility", "1e8"), ("trace", "1e8"), ("plot", "1e8"), ("linkage", "1e9")],
+    [("simulate", "1e8"), ("mobility", "1e8"), ("plot", "1e8"), ("linkage", "1e9")],
 )
 def test_float_lane_refuses_rounded_norms_of_large_parameters(capsys, command, b):
-    # At --b 1e8 the rounded poses no longer close the loop in float64
-    # (a closure residual near 1.4 with the real-norm bound lifted).
+    # The real-norm guard on the rounded link poses (_displacement_norms)
+    # refuses these loops although float64 resolves them: at --b 1e8 the two
+    # chains close to about 2e-16, but n1 = 2 p.d of a rounded pose grows
+    # with b and the guard's bound, 1e-9 * max(1, n0), does not.  trace reads
+    # no pose, only the orbit polynomial, and passes (test_float_lane.py).
     code, out, err = run(capsys, command, "--b", b)
     assert_input_error(code, out, err)
     assert err == "error: norm has a nonzero dual part\n"

@@ -1,16 +1,19 @@
 """The batched float64 lane against the exact lane, for every loop type.
 
-simulate, mobility and plot sample float64 arrays: motionpoly.poses_many
-rounds each chain's kept prefix products once and evaluates them at
-every t, and linkage.axes_many evaluates the loop's exact axis
-polynomials P*h*conj(P), rounded once, over n0 of the joint poses, as
-axes_at does on ints.  Here each sample is recomputed on the exact lane
-at the same parameter value (Fraction(t) is exactly the float t),
-converted to float and compared, also at parameters far from 1.
+simulate, mobility, trace and plot sample float64 arrays:
+motionpoly.poses_many rounds each chain's kept prefix products once and
+evaluates them at every t, linkage.axes_many evaluates the loop's exact
+axis polynomials P*h*conj(P), rounded once, over n0 of the joint poses,
+as axes_at does on ints, and MotionPoly.orbit evaluates a point's exact
+orbit polynomial P*(1 - eps*x)*P~, rounded once.  Here each sample is
+recomputed on the exact lane at the same parameter value (Fraction(t) is
+exactly the float t), converted to float and compared, also at
+parameters far from 1.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +35,8 @@ from darboux7r import (
     simulate,
     t_grid,
 )
-from darboux7r.cli import PAIR_TYPES
+from darboux7r.cli import PAIR_TYPES, PARAM_DEFAULTS, main
+from darboux7r.conics import conic_orbit
 from darboux7r.dualquat import ray_gap
 from darboux7r.linkage import (
     RANK_RTOL,
@@ -136,6 +140,37 @@ def test_orbit_matches_exact_action():
     for row, t in zip(orbit, TS):
         exact = motion.eval(Fraction(t)).act((1, *point))[1:]
         assert_rows_close(row, np.array([float(v) for v in exact]))
+
+
+# An orbit is its exact orbit polynomial, rounded once and evaluated at t, so
+# each image stays within a few ulps of the orbit's largest coordinate however
+# far the orbit grows with b (measured: at most 2.0 ulps up to b = 10^12).
+ORBIT_ULPS_TOL = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("b", [2, 10**4, 10**8, 10**12])
+def test_orbit_stays_within_a_few_ulps_at_large_parameters(b):
+    motion = factor_fi(DarbouxParams(Fraction(3, 2), Fraction(b), Fraction(2, 5))).product()
+    for point in ((Fraction(1), Fraction(1, 2), Fraction(-2)), (0, 0, 0)):
+        exact = np.array([
+            [float(v) for v in motion.eval(Fraction(t)).act((1, *point))[1:]] for t in TS
+        ])
+        error = np.abs(motion.orbit(point, TS) - exact).max()
+        assert error <= ORBIT_ULPS_TOL * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("kind", ["FI+FIII", "FI+FII"])
+def test_trace_at_large_parameters_samples_the_exact_orbit(capsys, kind):
+    # trace evaluates the orbit polynomial alone, so no rounded pose meets the
+    # float real-norm guard that still refuses simulate at this --b.
+    assert main(["trace", "--type", kind, "--b", "1e8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    params = DarbouxParams(PARAM_DEFAULTS["a"], Fraction(10**8), PARAM_DEFAULTS["c"])
+    orbit = tuple(tuple(Fraction(v) for v in doc["orbit"][k]) for k in ("mean", "cos", "sin"))
+    assert orbit == conic_orbit(factor_fi(params).product().point_orbit((0, 0, 0)))
+    mean, cos, sin = (np.array([float(v) for v in vec]) for vec in orbit)
+    size = (np.abs(mean) + np.hypot(cos, sin)).max()  # the orbit's largest |coordinate|
+    assert doc["float_gap"] <= ORBIT_ULPS_TOL * size
 
 
 # A link pose is its prefix product, rounded once and evaluated at t, so each

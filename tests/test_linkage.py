@@ -323,11 +323,12 @@ def test_every_coupler_trajectory_is_a_planar_conic(values, point):
         except SingularChoice:
             continue
         origin, *units = (
-            conic_orbit(loop.product_a, e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+            conic_orbit(loop.product_a.point_orbit(e))
+            for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
         # M, U and V of the point are the same affine combination of the basis ones.
         affine = tuple(
             tuple(o + sum(x * (e[k][i] - o) for x, e in zip(point, units)) for i, o in enumerate(vec))
             for k, vec in enumerate(origin)
         )
-        assert conic_orbit(loop.product_a, point) == affine
+        assert conic_orbit(loop.product_a.point_orbit(point)) == affine

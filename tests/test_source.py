@@ -161,28 +161,30 @@ def test_no_module_uses_dataclasses_replace():
     assert found == []
 
 
-def loads_outside(name: str, home: str) -> list:
-    """Where a src/ module other than home loads name."""
-    return [
-        f"{path.name}:{node.lineno}"
+def names_bound_or_loaded(node: ast.AST) -> list:
+    """The names a node defines, imports, assigns or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def test_no_module_multiplies_float_dual_quaternion_rows():
+    # Poses, axes and point orbits are exact polynomials, each rounded once
+    # and evaluated at t (motionpoly.poses_many, linkage.axes_many,
+    # MotionPoly.orbit).  Products of rounded rows lost the loop's closure and
+    # the axes' digits at large parameters, so no float product kernel is kept.
+    kernel = {"dq_mul_many", "conjugate_many", "_qmul"}
+    found = [
+        f"{path.name}:{node.lineno} {name}"
         for path in SOURCES
-        if path.name != home
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        and (node.id if isinstance(node, ast.Name) else node.attr) == name
+        for name in names_bound_or_loaded(node)
+        if name in kernel
     ]
-
-
-def test_only_the_conjugation_multiplies_float_rows():
-    # A link pose is its prefix product evaluated at t (motionpoly.poses_many);
-    # a walk of float link products lost the loop's closure at large
-    # parameters, so dq_mul_many serves conjugate_many in dualquat.py alone.
-    assert loads_outside("dq_mul_many", "dualquat.py") == []
-
-
-def test_only_orbits_conjugate_float_rows():
-    # A joint axis is its exact axis polynomial evaluated at t (linkage.axes_many);
-    # conjugating rounded poses lost digits at large parameters (9.2e-11
-    # relative on FI+FIII at b = 10^6), so conjugate_many moves the points of
-    # MotionPoly.orbit alone.
-    assert loads_outside("conjugate_many", "motionpoly.py") == []
+    assert found == []
