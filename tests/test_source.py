@@ -174,17 +174,27 @@ def names_bound_or_loaded(node: ast.AST) -> list:
     return []
 
 
-def test_no_module_multiplies_float_dual_quaternion_rows():
-    # Poses, axes and point orbits are exact polynomials, each rounded once
-    # and evaluated at t (motionpoly.poses_many, linkage.axes_many,
-    # MotionPoly.orbit).  Products of rounded rows lost the loop's closure and
-    # the axes' digits at large parameters, so no float product kernel is kept.
-    kernel = {"dq_mul_many", "conjugate_many", "_qmul"}
-    found = [
+def kernel_names_found(kernel: set) -> list:
+    """Where a src/ module defines, imports or reads a name in kernel."""
+    return [
         f"{path.name}:{node.lineno} {name}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         for name in names_bound_or_loaded(node)
         if name in kernel
     ]
-    assert found == []
+
+
+# Poses, axes and point orbits are exact polynomials, each rounded once and
+# evaluated at t (motionpoly.poses_many, linkage.axes_many, MotionPoly.orbit).
+# Products of rounded rows lost the loop's closure and the axes' digits at
+# large parameters, so no float product kernel is kept: no module, the
+# conjugation included, multiplies float dual quaternion rows.
+
+
+def test_only_the_conjugation_multiplies_float_rows():
+    assert kernel_names_found({"dq_mul_many", "_qmul"}) == []
+
+
+def test_only_orbits_conjugate_float_rows():
+    assert kernel_names_found({"conjugate_many"}) == []
