@@ -16,11 +16,10 @@ by P: P*h*conj(P)/n0(P).  Linkage.axis_polys forms the polynomials
 P*h*conj(P) once per loop, on first use; building a loop forms no axis.
 
 Two lanes evaluate the kept polynomials: chain_poses and axes_at at one
-exact (or float) parameter, axes_at on ints, while simulate and mobility
-sample float64 arrays of parameters: motionpoly.poses_many rounds both
-chains' prefixes once per call and evaluates them in one Horner pass, and
-axes_many evaluates the axis polynomials, rounded once per loop, over n0
-of those poses.
+exact (or float) parameter, axes_at on ints, and simulate, the one float64
+sampler of a loop, whose Samples divide the axis polynomials by n0 of the
+poses, checked once (_displacement_norms); mobility and svgplot read them.
+A Linkage rounds its prefixes, axis polynomials and roots once each.
 Each joint's reference axis is the one Factorization.check_rotation_chain
 gets from its rotation test, so building a loop classifies each root once.
 trace_point decides a coupler point's orbit exactly, for all t at once
@@ -29,6 +28,8 @@ trace_point decides a coupler point's orbit exactly, for all t at once
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
@@ -45,7 +46,7 @@ from .dualquat import (
     ray_gap,
 )
 from .errors import ClosureFailure, KinematicsError, NotRotational
-from .motionpoly import MotionPoly, _coeff_array, _horner_many, poses_many
+from .motionpoly import MotionPoly, _coeff_array, _horner_many
 from .scalars import Scalar, cleared, is_exact, sdiv
 
 RANK_RTOL = 1e-8
@@ -71,8 +72,9 @@ class Linkage:
 
     product_a is the exact product of chain A's factors that chain_a keeps
     from the closure check; the closure certificate, coupler traces and plot
-    overlays read it.  axis_polys, the rounded axis coefficients and
-    home_axes are formed on first use and kept.
+    overlays read it.  axis_polys, home_axes and the rounded tables of the
+    prefixes (chain A's, then chain B's), axes and roots are formed on first
+    use and kept.
     """
 
     chain_a: Factorization
@@ -99,7 +101,22 @@ class Linkage:
         """P*h*conj(P) of every joint in cycle order, h its root and P the prefix before it."""
         return tuple([p * j.root * p.conj() for j, p in zip(self.joints, _joint_prefixes(self))])
 
-    _axis_coeffs = cached_property(lambda self: _coeff_array(self.axis_polys))
+    _pose_coeffs = cached_property(lambda f: _bounded(f.chain_a.prefixes() + f.chain_b.prefixes()))
+    _axis_coeffs = cached_property(lambda f: _bounded(f.axis_polys))
+    _root_coeffs = cached_property(lambda f: _bounded([MotionPoly([j.root for j in f.joints])])[0])
+
+
+COEFF_ABS_MAX = math.sqrt(sys.float_info.max)
+
+
+def _bounded(polys: Sequence[MotionPoly]) -> np.ndarray:
+    """_coeff_array of rows that are squared (norms, dot products), each within COEFF_ABS_MAX."""
+    out = _coeff_array(polys)
+    if (top := np.abs(out).max(initial=0.0)) > COEFF_ABS_MAX:
+        raise KinematicsError(
+            f"an exact coefficient of about 1e{math.log10(top):+.0f} overflows float64 when squared"
+        )
+    return out
 
 
 def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
@@ -161,7 +178,7 @@ def joint_angle(factor: Union[MotionPoly, DualQuaternion], t: Scalar) -> float:
     0 and 2*pi.
     """
     root = factor if isinstance(factor, DualQuaternion) else -factor.coeff(0)
-    return float(_angles(_coeff_array([MotionPoly((root,))])[0], [t])[0, 0])
+    return float(_angles(_bounded([MotionPoly((root,))])[0], [t])[0, 0])
 
 
 def _joint_prefixes(linkage: Linkage) -> List[MotionPoly]:
@@ -196,29 +213,6 @@ def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
     return tuple(axes)
 
 
-def _both_chains_many(linkage: Linkage, ts: Sequence[Scalar]) -> List[np.ndarray]:
-    return poses_many((linkage.chain_a.prefixes(), linkage.chain_b.prefixes()), ts)
-
-
-def _joint_poses(linkage: Linkage, poses_a, poses_b) -> np.ndarray:
-    """Each joint's link pose rows from both chains' poses, shape (N, n, 8)."""
-    offset = poses_a.shape[1]
-    pick = [j.factor_indices[0] + (0 if j.chain == "A" else offset) for j in linkage.joints]
-    return np.concatenate((poses_a, poses_b), axis=1)[:, pick]
-
-
-def _axes_over(linkage: Linkage, ts: Sequence[Scalar], poses_a, poses_b) -> np.ndarray:
-    """Axis rows [direction, moment] at every t: the rounded axis_polys over n0 of the poses."""
-    n0 = _displacement_norms(_joint_poses(linkage, poses_a, poses_b))
-    x = _horner_many(linkage._axis_coeffs, ts) / n0[..., None]
-    return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)
-
-
-def axes_many(linkage: Linkage, ts: Sequence[Scalar]) -> np.ndarray:
-    """Float64 axes_at for every t: rows [direction, moment], shape (len(ts), n, 6)."""
-    return _axes_over(linkage, ts, *_both_chains_many(linkage, ts))
-
-
 def _unit_screws(axes: np.ndarray) -> np.ndarray:
     """Screw matrices (..., 6, n) of axis rows (..., n, 6), scaled to unit direction."""
     n = np.linalg.norm(axes[..., :3], axis=-1, keepdims=True)
@@ -242,7 +236,7 @@ def mobility_many(
     dof = joint_count - numeric rank, with singular values below
     tol * sigma_max treated as zero.  One batched SVD covers all samples.
     """
-    sv = np.linalg.svd(_unit_screws(axes_many(linkage, ts)), compute_uv=False)
+    sv = np.linalg.svd(_unit_screws(simulate(linkage, ts).axes), compute_uv=False)
     smax = sv[:, :1]
     ranks = np.where(smax[:, 0] > 0, np.sum(sv > tol * smax, axis=1), 0)
     return tuple(
@@ -343,21 +337,30 @@ def substructure_report(linkage: Linkage) -> SubstructureReport:
 class Samples:
     """Simulated configurations of the closed loop as float64 arrays, N samples.
 
-    t (N,), angles (N, n), poses_a / poses_b the link poses of each chain
-    (N, k + 1, 8), closure_residual (N,); axes, the joint axes (N, n, 6) as
-    direction then moment, formed on first read as axes_many forms them.
+    t (N,), poses_a / poses_b the link poses of each chain (N, k + 1, 8), n0
+    (N, n) of each joint's link pose; formed on first read: angles (N, n),
+    closure_residual (N,) and axes (N, n, 6), rows [direction, moment].
     """
 
     t: np.ndarray
-    angles: np.ndarray
     poses_a: np.ndarray
     poses_b: np.ndarray
-    closure_residual: np.ndarray
+    n0: np.ndarray
     linkage: Linkage
 
     @cached_property
-    def axes(self) -> np.ndarray:
-        return _axes_over(self.linkage, self.t, self.poses_a, self.poses_b)
+    def angles(self) -> np.ndarray:
+        multiplicities = [j.multiplicity for j in self.linkage.joints]
+        return multiplicities * _angles(self.linkage._root_coeffs, self.t)
+
+    @cached_property
+    def closure_residual(self) -> np.ndarray:
+        return ray_gap(self.poses_a[:, -1], self.poses_b[:, -1])
+
+    @cached_property
+    def axes(self) -> np.ndarray:  # the rounded axis_polys over n0, as axes_at
+        x = _horner_many(self.linkage._axis_coeffs, self.t) / self.n0[..., None]
+        return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
@@ -368,13 +371,15 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 
 
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
-    """Sample the loop at the given parameter values (float64)."""
-    poses_a, poses_b = _both_chains_many(linkage, ts)
-    roots = _coeff_array([MotionPoly(tuple([j.root for j in linkage.joints]))])[0]
-    angles = [j.multiplicity for j in linkage.joints] * _angles(roots, ts)
-    _displacement_norms(_joint_poses(linkage, poses_a, poses_b))  # what the axes would refuse
-    residual = ray_gap(poses_a[:, -1], poses_b[:, -1])
-    return Samples(np.asarray(ts, float), angles, poses_a, poses_b, residual, linkage)
+    """Sample the loop at the given parameter values (float64): its one float evaluation.
+
+    One Horner pass over both chains' rounded prefixes; n0 of the joint poses is checked once.
+    """
+    t = np.asarray(ts, dtype=float)
+    poses = _horner_many(linkage._pose_coeffs, t)
+    k = len(linkage.chain_a.prefixes())
+    rows = [j.factor_indices[0] + (0 if j.chain == "A" else k) for j in linkage.joints]
+    return Samples(t, poses[:, :k], poses[:, k:], _displacement_norms(poses[:, rows]), linkage)
 
 
 def trace_point(

@@ -22,16 +22,14 @@ num = coeffs and den = 1, multiplied and divided (by the inverse of the
 leading coefficient) in plain scalar arithmetic, with sums started from
 zero, as 0 + -0.0 is 0.0; an exact operand that meets one takes part by its coeffs.
 The float lane rounds each coefficient once, num[i] / den on ints, and
-evaluates many polynomials at many t in one Horner pass: a chain's link
-poses are its prefix products, and a point's orbit is its orbit
-polynomial P*(1 - eps*x)*P~ (point_orbit), formed on ints.
+evaluates many polynomials at many t in one Horner pass; orbit_samples
+does so for a motion's orbit polynomial P*(1 - eps*x)*P~ (point_orbit).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -39,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ._numpy import np
 from .dualquat import DQ_ONE, DualQuaternion, _tuple, viszero
-from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADivisor
+from .errors import KinematicsError, NonGeneric, NonInvertibleLeader, NotADisplacement, NotADivisor
 from .scalars import Scalar, cleared, is_exact, sdiv
 
 
@@ -190,11 +188,15 @@ class MotionPoly:
         common denominator d, and the numerators' tilde, over den(P)^2 * d.
         Its primal part is n0(P), and its dual vector part is minus n0(P)
         times the image of x (DualQuaternion.act).  A float coefficient or
-        coordinate is taken as the binary rational it is.
+        coordinate is taken as the binary rational it is.  Raises
+        NotADisplacement unless P is a motion polynomial, decided exactly
+        once per polynomial.
         """
         p = self
         if p.is_float():
             p = MotionPoly([DualQuaternion.from_coeffs([Fraction(v) for v in h]) for h in p.num])
+        if not p._is_motion:
+            raise NotADisplacement("a polynomial that is not a motion polynomial has no orbit")
         p, den = p.integral()
         x, y, z, d = cleared(*map(Fraction, point))
         orbit = p * DualQuaternion.from_coeffs((d, 0, 0, 0, 0, -x, -y, -z)) * p.tilde()
@@ -282,6 +284,8 @@ class MotionPoly:
             return False
         return self.norm_poly().is_real()
 
+    _is_motion = cached_property(is_motion_polynomial)
+
     def is_real(self) -> bool:
         """Every coefficient is real, so the polynomial is central."""
         return all(viszero(c.p.vector) and c.d.is_zero() for c in self.num)
@@ -350,19 +354,13 @@ def prefix_products(factors: Sequence[MotionPoly]) -> Tuple[MotionPoly, ...]:
     return tuple(accumulate(factors, operator.mul, initial=ONE_POLY))
 
 
-# The float lane multiplies coefficients pairwise (norms, dot products), so
-# each must square to a finite float64.
-COEFF_ABS_MAX = math.sqrt(sys.float_info.max)
-
-
 def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
     """Float64 coefficients of polynomials, shape (len(polys), max degree + 1, 8).
 
     Lower degrees are zero padded on top.  Each coefficient is num[i] / den,
     which CPython rounds correctly for ints of any size, so it equals
     float(Fraction) of the exact value bit for bit and no Fraction is formed.
-    An exact coefficient beyond the float64 range, or beyond COEFF_ABS_MAX
-    (about 1.3e154), raises KinematicsError.
+    An exact coefficient beyond the float64 range raises KinematicsError.
     """
     out = np.zeros((len(polys), max((len(p.num) for p in polys), default=0), 8))
     for i, p in enumerate(polys):
@@ -375,11 +373,6 @@ def _coeff_array(polys: Sequence[MotionPoly]) -> np.ndarray:
                 raise KinematicsError(
                     f"an exact coefficient of about 1e{size:+.0f} is beyond the float64 range"
                 ) from None
-    top = np.abs(out).max(initial=0.0)
-    if top > COEFF_ABS_MAX:
-        raise KinematicsError(
-            f"an exact coefficient of about 1e{math.log10(top):+.0f} overflows float64 when squared"
-        )
     return out
 
 
@@ -396,17 +389,6 @@ def orbit_samples(orbit: MotionPoly, ts: Sequence[Scalar]) -> np.ndarray:
     """-vec(dual Y(t))/Y0(t) at every t for an orbit polynomial Y (point_orbit), rounded once."""
     y = _horner_many(_coeff_array([orbit]), ts)[:, 0]
     return -y[:, 5:] / y[:, :1]
-
-
-def poses_many(chains: Sequence[Sequence[MotionPoly]], ts: Sequence[Scalar]) -> List[np.ndarray]:
-    """Float64 values of each chain's prefix products at every t, shape (len(ts), len(chain), 8).
-
-    Given Factorization.prefixes(), entry [:, j] is the pose of link j (linkage.chain_poses).
-    All polynomials are rounded once and evaluated in one Horner pass.
-    """
-    values = _horner_many(_coeff_array([p for c in chains for p in c]), ts)
-    ends = list(accumulate(map(len, chains), initial=0))
-    return [values[:, i:j] for i, j in zip(ends, ends[1:])]
 
 
 def right_factor_from_quadratic(c: MotionPoly, m: MotionPoly) -> DualQuaternion:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from ._numpy import np
 from .darboux import t_grid
 from .errors import KinematicsError
-from .linkage import Linkage, axes_many
+from .linkage import Linkage, simulate
 from .scalars import Scalar
 
 # (u-axis, v-axis, view direction) as coordinate indices
@@ -46,7 +46,7 @@ def _project(point: Sequence[float], view: str) -> Tuple[float, float]:
 
 def _axis_screen_data(linkage: Linkage, ts: Sequence):
     """Anchor points nearest the origin and unit directions of every joint axis, per t."""
-    axes = axes_many(linkage, ts)
+    axes = simulate(linkage, ts).axes
     d, m = axes[..., :3], axes[..., 3:]
     d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
     m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]

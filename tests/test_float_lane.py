@@ -1,11 +1,13 @@
 """The batched float64 lane against the exact lane, for every loop type.
 
-simulate, mobility, trace and plot sample float64 arrays:
-motionpoly.poses_many rounds each chain's kept prefix products once and
-evaluates them at every t, linkage.axes_many evaluates the loop's exact
-axis polynomials P*h*conj(P), rounded once, over n0 of the joint poses,
-as axes_at does on ints, and MotionPoly.orbit evaluates a point's exact
-orbit polynomial P*(1 - eps*x)*P~, rounded once.  Here each sample is
+simulate, mobility, trace and plot sample float64 arrays.
+linkage.simulate is a loop's one float evaluation: it evaluates both
+chains' kept prefix products, rounded once per Linkage, at every t and
+checks n0 of the joint poses once, and its Samples' axes are the loop's
+exact axis polynomials P*h*conj(P), rounded once, over those n0, as
+axes_at does on ints; mobility and plot read those axes.
+MotionPoly.orbit evaluates a point's exact orbit polynomial
+P*(1 - eps*x)*P~, rounded once.  Here each sample is
 recomputed on the exact lane at the same parameter value (Fraction(t) is
 exactly the float t), converted to float and compared, also at
 parameters far from 1.
@@ -14,6 +16,7 @@ parameters far from 1.
 from __future__ import annotations
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +26,9 @@ from hypothesis import strategies as st
 
 from darboux7r import (
     DarbouxParams,
+    DualQuaternion,
+    MotionPoly,
+    NotADisplacement,
     SingularChoice,
     build_linkage,
     factor_fi,
@@ -34,19 +40,21 @@ from darboux7r import (
     mobility_at,
     simulate,
     t_grid,
+    trace_fit,
 )
+from darboux7r import linkage
 from darboux7r.cli import PAIR_TYPES, PARAM_DEFAULTS, main
 from darboux7r.conics import conic_orbit
-from darboux7r.dualquat import ray_gap
+from darboux7r.dualquat import _displacement_norms, ray_gap
 from darboux7r.linkage import (
     RANK_RTOL,
     _unit_screws,
     axes_at,
-    axes_many,
     chain_poses,
     mobility_many,
 )
-from darboux7r.motionpoly import poses_many
+from darboux7r.motionpoly import _coeff_array, _horner_many
+from darboux7r.svgplot import render_linkage
 
 REL_TOL = 1e-12
 PARAMS = DarbouxParams(Fraction(3, 2), Fraction(-1), Fraction(2, 5))
@@ -78,6 +86,13 @@ def axis_rows(axes) -> np.ndarray:
     return np.array([[float(v) for v in (*ax.direction, *ax.moment)] for ax in axes])
 
 
+def pose_table(l):
+    """Both chains' rounded prefix products at every t: the rows simulate evaluates."""
+    poses = _horner_many(l._pose_coeffs, TS)
+    k = len(l.chain_a.prefixes())
+    return poses[:, :k], poses[:, k:]
+
+
 def exact_rank(axes) -> int:
     sv = np.linalg.svd(_unit_screws(axis_rows(axes)), compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv[0]))
@@ -86,8 +101,8 @@ def exact_rank(axes) -> int:
 @pytest.mark.parametrize("kind", PAIR_TYPES)
 def test_poses_match_exact_lane(kind):
     l = loop(kind)
-    for chain in (l.chain_a, l.chain_b):
-        batched = poses_many([chain.prefixes()], TS)[0]
+    s = simulate(l, TS)
+    for chain, batched in ((l.chain_a, s.poses_a), (l.chain_b, s.poses_b)):
         assert batched.shape == (len(TS), len(chain.factors) + 1, 8)
         for i, t in enumerate(TS):
             assert_rows_close(batched[i], rows(chain_poses(chain, Fraction(t))))
@@ -96,7 +111,7 @@ def test_poses_match_exact_lane(kind):
 @pytest.mark.parametrize("kind", PAIR_TYPES)
 def test_axes_and_ranks_match_exact_lane(kind):
     l = loop(kind)
-    batched = axes_many(l, TS)
+    batched = simulate(l, TS).axes
     reports = mobility_many(l, TS)
     for i, t in enumerate(TS):
         exact = axes_at(l, Fraction(t))
@@ -110,9 +125,14 @@ def test_simulate_samples_the_batched_lane(kind):
     l = loop(kind)
     s = simulate(l, TS)
     assert np.array_equal(s.t, TS)
-    assert np.array_equal(s.poses_a, poses_many([l.chain_a.prefixes()], TS)[0])
-    assert np.array_equal(s.poses_b, poses_many([l.chain_b.prefixes()], TS)[0])
-    assert np.array_equal(s.axes, axes_many(l, TS))
+    for poses, table, chain in zip((s.poses_a, s.poses_b), pose_table(l), (l.chain_a, l.chain_b)):
+        # the loop's pose table, and each chain walked alone, bit for bit
+        assert np.array_equal(poses, table)
+        assert np.array_equal(poses, _horner_many(_coeff_array(chain.prefixes()), TS))
+    links = [(s.poses_a if j.chain == "A" else s.poses_b)[:, j.factor_indices[0]] for j in l.joints]
+    assert np.array_equal(s.n0, _displacement_norms(np.stack(links, axis=1)))
+    x = _horner_many(_coeff_array(l.axis_polys), TS) / s.n0[..., None]
+    assert np.array_equal(s.axes, np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1))
     assert np.all(s.closure_residual < REL_TOL)
     for i, t in enumerate(TS):
         for angle, j in zip(s.angles[i], l.joints):
@@ -130,6 +150,54 @@ def test_mobility_at_is_one_sample_of_mobility_many():
     l = loop("FI+FIII")
     for t, rep in zip(TS, mobility_many(l, TS)):
         assert mobility_at(l, t) == rep
+
+
+def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch):
+    # A Linkage rounds its pose table, its axis table and its roots on first
+    # use; simulate, mobility_many and render_linkage all read those tables,
+    # and mobility_many reads only the axes of simulate's Samples.
+    rounded, made = [], []
+
+    def counted(polys):
+        rounded.append(polys)
+        return _coeff_array(polys)
+
+    def kept(l, ts):
+        made.append(simulate(l, ts))
+        return made[-1]
+
+    monkeypatch.setattr(linkage, "_coeff_array", counted)
+    monkeypatch.setattr(linkage, "simulate", kept)
+
+    def rounds(call) -> int:
+        rounded.clear()
+        call()
+        return len(rounded)
+
+    for kind in PAIR_TYPES:
+        l = loop(kind)
+        assert rounds(lambda: mobility_many(l, TS)) == 2  # poses, then axes
+        assert "angles" not in vars(made[-1]) and "closure_residual" not in vars(made[-1])
+        assert rounds(lambda: mobility_many(l, TS)) == 0
+        assert rounds(lambda: render_linkage(l, TS, "xy", (1, 2, 3))) == 0
+        s = simulate(l, TS)
+        assert rounds(lambda: s.angles) == 1  # the roots
+        assert rounds(lambda: (simulate(l, TS).angles, s.axes, s.closure_residual)) == 0
+        twin = build_linkage(l.chain_a, l.chain_b)
+        assert rounds(lambda: simulate(twin, TS)) == 1
+        assert rounds(lambda: render_linkage(twin, TS, "xy", None)) == 1
+        assert rounds(lambda: mobility_many(twin, TS)) == 0
+
+
+def test_a_polynomial_that_is_no_motion_has_no_orbit():
+    # n1 = 2 p.d = 1 for h = (0, 1, 0, 0 | 0, 1, 0, 0): the norm of t - h is not real.
+    h = MotionPoly.t_minus(DualQuaternion.from_coeffs((0, 1, 0, 0, 0, 1, 0, 0)))
+    assert not h.is_motion_polynomial()
+    for call in (lambda: trace_fit(h, (1, 2, 3), t_grid(8)), lambda: h.orbit((1, 2, 3), TS)):
+        with pytest.raises(NotADisplacement, match="not a motion polynomial"):
+            call()
+    for kind in PAIR_TYPES:
+        assert loop(kind).product_a.point_orbit((1, 2, 3)).degree >= 2
 
 
 def test_orbit_matches_exact_action():
@@ -163,9 +231,26 @@ def test_orbit_stays_within_a_few_ulps_at_large_parameters(b):
 def test_trace_at_large_parameters_samples_the_exact_orbit(capsys, kind):
     # trace evaluates the orbit polynomial alone, so no rounded pose meets the
     # float real-norm guard that still refuses simulate at this --b.
-    assert main(["trace", "--type", kind, "--b", "1e8"]) == 0
+    assert_trace_samples_the_exact_orbit(capsys, ["--type", kind, "--b", "1e8"], b=10**8)
+
+
+@pytest.mark.parametrize("name, exponent", [("b", 200), ("c", 300)])
+def test_trace_of_coefficients_whose_squares_overflow_float64(capsys, name, exponent):
+    # The orbit polynomial, about 10 times the parameter, is only evaluated
+    # and divided, never squared, so the bound on the loop's squared rows
+    # (linkage.COEFF_ABS_MAX) does not refuse it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        argv = [f"--{name}", f"1e{exponent}"]
+        assert_trace_samples_the_exact_orbit(capsys, argv, **{name: 10**exponent})
+
+
+def assert_trace_samples_the_exact_orbit(capsys, argv, **values) -> None:
+    """trace exits 0 with the exact orbit of the origin at a, b, c, within a few ulps of it."""
+    assert main(["trace", *argv]) == 0
     doc = json.loads(capsys.readouterr().out)
-    params = DarbouxParams(PARAM_DEFAULTS["a"], Fraction(10**8), PARAM_DEFAULTS["c"])
+    values = {**PARAM_DEFAULTS, **values}
+    params = DarbouxParams(values["a"], values["b"], values["c"])
     orbit = tuple(tuple(Fraction(v) for v in doc["orbit"][k]) for k in ("mean", "cos", "sin"))
     assert orbit == conic_orbit(factor_fi(params).product().point_orbit((0, 0, 0)))
     mean, cos, sin = (np.array([float(v) for v in vec]) for vec in orbit)
@@ -182,8 +267,10 @@ POSE_ULPS_TOL = 4 * np.finfo(float).eps
 @pytest.mark.parametrize("b", [2, 10**4, 10**8, 10**12])
 @pytest.mark.parametrize("kind", ["FI+FII", "FI+FIII"])
 def test_poses_stay_within_a_few_ulps_at_large_parameters(kind, b):
+    # The loop's pose table, evaluated as simulate evaluates it: simulate's
+    # real-norm guard refuses FI+FIII from b = 10^8 (test_cli.py).
     l = loop(kind, DarbouxParams(Fraction(3, 2), Fraction(b), Fraction(2, 5)))
-    poses = poses_many([l.chain_a.prefixes(), l.chain_b.prefixes()], TS)
+    poses = pose_table(l)
     for chain, batched in zip((l.chain_a, l.chain_b), poses):
         for i, t in enumerate(TS):
             exact = rows(chain_poses(chain, Fraction(t)))
@@ -193,7 +280,7 @@ def test_poses_stay_within_a_few_ulps_at_large_parameters(kind, b):
     assert np.all(ray_gap(poses[0][:, -1], poses[1][:, -1]) <= POSE_ULPS_TOL)
 
 
-# axes_many evaluates the exact axis polynomials, each coefficient rounded
+# Samples.axes evaluates the exact axis polynomials, each coefficient rounded
 # once, and divides by n0 of the rounded poses, so every coordinate of an
 # axis stays within a few ulps of the axis's largest coordinate, however far
 # the moments grow with b (measured: at most 5.7e-16 on these two loops up
@@ -202,7 +289,7 @@ AXES_ULPS_TOL = 8 * np.finfo(float).eps
 
 
 def assert_axes_within_a_few_ulps(l, ts) -> None:
-    batched = axes_many(l, ts)
+    batched = simulate(l, ts).axes
     for i, t in enumerate(ts):
         exact = axis_rows(axes_at(l, Fraction(t)))
         scale = np.abs(exact).max(axis=-1, keepdims=True)

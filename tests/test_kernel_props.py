@@ -1,11 +1,11 @@
 """Property tests: the float64 lane's helpers repeat the scalar dual quaternion lane.
 
-Inputs are dual quaternions, points and polynomials with small random
-rational coefficients.  Coefficients round as float(Fraction) does, a
-Horner pass over many polynomials gives each one's scalar float values
-bit for bit, the real-norm guard refuses the rows that act refuses, with
-act's error, and the float lane multiplies only the exact polynomials it
-is meant to, on the first call.
+Inputs are dual quaternions, points, polynomials and loops with small
+random rational coefficients.  Coefficients round as float(Fraction)
+does, simulate's one Horner pass over both chains gives each link pose's
+scalar float values bit for bit, the real-norm guard refuses the rows
+that act refuses, with act's error, and the float lane multiplies only
+the exact polynomials it is meant to, on the first call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from darboux7r import (  # noqa: E402
 )
 from darboux7r.dualquat import Quaternion, _displacement_norms, ray_gap  # noqa: E402
 from darboux7r.linkage import mobility_many  # noqa: E402
-from darboux7r.motionpoly import _coeff_array, poses_many, prefix_products  # noqa: E402
+from darboux7r.motionpoly import _coeff_array  # noqa: E402
 from darboux7r.svgplot import render_linkage  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -53,24 +53,6 @@ def displacements(draw) -> DualQuaternion:
 
 def row(h: DualQuaternion) -> np.ndarray:
     return np.array([float(v) for v in h.coeffs()])
-
-
-chains = st.lists(dual_quaternions.map(MotionPoly.t_minus), min_size=1, max_size=5)
-
-
-@settings(max_examples=50, deadline=None)
-@given(chains, chains, st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
-def test_chains_walked_together_repeat_each_walk_alone(a, b, ts):
-    # A lower-degree prefix is padded on top, so its values keep their bits:
-    # each is the scalar float evaluation of the rounded prefix product.
-    assume(len(a) != len(b))
-    prefixes = [prefix_products(a), prefix_products(b)]
-    for chain, poses in zip(prefixes, poses_many(prefixes, ts)):
-        assert poses.shape == (len(ts), len(chain), 8)
-        assert np.array_equal(poses, poses_many([chain], ts)[0])
-        for i, t in enumerate(ts):
-            walk = [row(p.to_float().eval(t)) for p in chain]
-            assert np.array_equal(poses[i], np.array(walk))
 
 
 def rounded(num: int, den: int):
@@ -131,18 +113,34 @@ def small_loops(draw):
         assume(False)
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_loops(), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+def test_chains_walked_together_repeat_each_walk_alone(loop, ts):
+    # simulate walks both chains' prefixes in one Horner pass.  A lower-degree
+    # prefix is padded on top, so its values keep their bits: each pose row is
+    # the scalar float evaluation of the rounded prefix product.
+    s = simulate(loop, ts)
+    for chain, poses in ((loop.chain_a, s.poses_a), (loop.chain_b, s.poses_b)):
+        assert poses.shape == (len(ts), len(chain.prefixes()), 8)
+        for i, t in enumerate(ts):
+            walk = [row(p.to_float().eval(t)) for p in chain.prefixes()]
+            assert np.array_equal(poses[i], np.array(walk))
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_loops(), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4), points)
 def test_float_lane_rounds_prefixes_without_forming_coefficients(loop, ts, x):
     # simulate, mobility and plot round every kept prefix product from its
     # ints.  simulate multiplies no exact polynomial; mobility and plot
     # multiply in the loop's one axis build, P * h, then * conj(P), for each
-    # joint, on the first call on a Linkage and never again, and plot with a
-    # point forms that point's orbit polynomial, P * (d - eps*x), then * P~,
-    # on every call.  Entries 0 and 1 are the constant 1 and the first
-    # factor, which hold the coefficients they were built from.
+    # joint, on the first call on a Linkage and never again.  plot with a
+    # point checks that the coupler's motion is a motion polynomial, from
+    # C * conj(C), once for that polynomial (twin shares chain A and so its
+    # product), and forms that point's orbit polynomial, P * (d - eps*x),
+    # then * P~, on every call.  Entries 0 and 1 are the constant 1 and the
+    # first factor, which hold the coefficients they were built from.
     twin = build_linkage(loop.chain_a, loop.chain_b)
-    build, orbit = 2 * loop.joint_count, 2
+    build, check, orbit = 2 * loop.joint_count, 1, 2
     products = []
     mul = MotionPoly.__mul__
 
@@ -159,7 +157,7 @@ def test_float_lane_rounds_prefixes_without_forming_coefficients(loop, ts, x):
         patch.setattr(MotionPoly, "__mul__", counted)
         assert count(lambda: simulate(loop, ts)) == 0
         assert count(lambda: mobility_many(loop, ts)) == build
-        assert count(lambda: render_linkage(loop, ts, "xy", x[1:])) == orbit
+        assert count(lambda: render_linkage(loop, ts, "xy", x[1:])) == check + orbit
         assert count(lambda: mobility_many(loop, ts)) == 0
         assert count(lambda: render_linkage(twin, ts, "xy", x[1:])) == build + orbit
         assert count(lambda: render_linkage(twin, ts, "xy", x[1:])) == orbit

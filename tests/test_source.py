@@ -186,7 +186,7 @@ def kernel_names_found(kernel: set) -> list:
 
 
 # Poses, axes and point orbits are exact polynomials, each rounded once and
-# evaluated at t (motionpoly.poses_many, linkage.axes_many, MotionPoly.orbit).
+# evaluated at t (linkage.simulate and its Samples, MotionPoly.orbit).
 # Products of rounded rows lost the loop's closure and the axes' digits at
 # large parameters, so no float product kernel is kept: no module, the
 # conjugation included, multiplies float dual quaternion rows.
@@ -198,3 +198,20 @@ def test_only_the_conjugation_multiplies_float_rows():
 
 def test_only_orbits_conjugate_float_rows():
     assert kernel_names_found({"conjugate_many"}) == []
+
+
+def test_only_simulate_and_the_orbit_sampler_evaluate_rounded_tables():
+    # A loop has one float evaluation, linkage.simulate (its Samples read the
+    # axes), and a point's orbit one, motionpoly.orbit_samples: no other code
+    # loads the Horner pass.
+    found = [
+        f"{path.name}:{node.lineno} {getattr(top, 'name', '')}"
+        for path in SOURCES
+        if path.name != "linkage.py"
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if (path.name, getattr(top, "name", None)) != ("motionpoly.py", "orbit_samples")
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom))
+        and "_horner_many" in names_bound_or_loaded(node)
+    ]
+    assert found == []
