@@ -26,8 +26,8 @@ One Hamilton formula, _hamilton, serves Quaternion.__mul__ and the three
 quaternion products inside DualQuaternion.__mul__.  The float lane
 multiplies no dual quaternions: poses, axes and point orbits are exact
 polynomials, rounded once and evaluated (motionpoly).  Its float64 row
-helpers here are _displacement_norms, act's preconditions on many pose
-rows at once, and ray_gap, the distance between two rows' rays.
+helpers here are _dot, the inner product in the scalar formulas' order,
+and ray_gap, the distance between two rows' rays.
 """
 
 from __future__ import annotations
@@ -337,23 +337,6 @@ def ray_gap(u, v) -> np.ndarray:
     gap = np.minimum(np.abs(u - v).max(axis=-1), np.abs(u + v).max(axis=-1))
     nu, nv = nu[..., 0], nv[..., 0]
     return np.where((nu == 0) | (nv == 0), np.where(nu == nv, 0.0, np.inf), gap)
-
-
-def _displacement_norms(h: np.ndarray) -> np.ndarray:
-    """Primal norms n0 of displacement rows, after checking act's preconditions.
-
-    Raises ZeroPrimal if a row's n0 is 0 and NotADisplacement if a row's
-    norm is not real to the float tolerance of has_real_norm; a NaN row
-    fails that test.
-    """
-    p, d = h[..., :4], h[..., 4:]
-    n0 = _dot(p, p)
-    n1 = 2 * _dot(p, d)
-    if np.any(n0 == 0):
-        raise ZeroPrimal("cannot act with zero primal part")
-    if not np.all(np.abs(n1) <= _FLOAT_REAL_NORM_RTOL * np.maximum(1.0, np.abs(n0))):
-        raise NotADisplacement("norm has a nonzero dual part")
-    return n0
 
 
 @dataclass(frozen=True)

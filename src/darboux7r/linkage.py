@@ -3,9 +3,9 @@
 Two factorizations of the same motion (up to real cofactors) give two
 open chains from the base to the coupler; gluing them produces a closed
 loop.  Each monic linear factor with a rotation root contributes one
-revolute joint; consecutive identical factors collapse into a single
-joint (a doubled factor rotates about its own fixed axis, so both copies
-share one line in every configuration).
+revolute joint; the equal adjacent factors that identical_adjacent names
+collapse into a single joint (a doubled factor rotates about its own
+fixed axis, so both copies share one line in every configuration).
 
 Joints are numbered 1..n around the loop: chain A base to coupler in
 factor order, then chain B coupler back to base (reverse factor order).
@@ -18,7 +18,9 @@ P*h*conj(P) once per loop, on first use; building a loop forms no axis.
 Two lanes evaluate the kept polynomials: chain_poses and axes_at at one
 exact (or float) parameter, axes_at on ints, and simulate, the one float64
 sampler of a loop, whose Samples divide the axis polynomials by n0 of the
-poses, checked once (_displacement_norms); mobility and svgplot read them.
+poses; mobility and svgplot read them.  Every link pose is a rigid
+displacement exactly: its norm is the product of its rotation factors'
+real norms (check_rotation_chain), so the float lane tests no norm again.
 A Linkage rounds its prefixes, axis polynomials and roots once each.
 Each joint's reference axis is the one Factorization.check_rotation_chain
 gets from its rotation test, so building a loop classifies each root once.
@@ -40,12 +42,11 @@ from .darboux import Factorization
 from .dualquat import (
     AxisLine,
     DualQuaternion,
-    _displacement_norms,
     _dot,
     projectively_equal,
     ray_gap,
 )
-from .errors import ClosureFailure, KinematicsError, NotRotational
+from .errors import ClosureFailure, KinematicsError, NotRotational, ZeroPrimal
 from .motionpoly import MotionPoly, _coeff_array, _horner_many
 from .scalars import Scalar, cleared, is_exact, sdiv
 
@@ -119,23 +120,15 @@ def _bounded(polys: Sequence[MotionPoly]) -> np.ndarray:
     return out
 
 
-def _runs_of_equal(factors: Sequence[MotionPoly]) -> List[Tuple[int, ...]]:
-    runs: List[Tuple[int, ...]] = []
-    i = 0
-    while i < len(factors):
-        j = i + 1
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        runs.append(tuple(range(i, j)))
-        i = j
-    return runs
-
-
 def _chain_joints(f: Factorization, side: str) -> List[Joint]:
+    """One joint per run of factors joined by identical_adjacent (see check_rotation_chain)."""
     axes = f.check_rotation_chain()
+    n = len(f.factors)
+    starts = [k for k in range(n) if (k - 1, k) not in f.identical_adjacent]
+    runs = [tuple(range(i, j)) for i, j in zip(starts, starts[1:] + [n])]
     return [
         Joint(side, run, f.roots()[run[0]], axes[run[0]])
-        for run in _runs_of_equal(f.factors)
+        for run in runs
     ]
 
 
@@ -373,13 +366,17 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64): its one float evaluation.
 
-    One Horner pass over both chains' rounded prefixes; n0 of the joint poses is checked once.
+    One Horner pass over both chains' rounded prefixes.  The poses are exact
+    displacements (module docstring), so only a zero n0 of a joint pose is refused.
     """
     t = np.asarray(ts, dtype=float)
     poses = _horner_many(linkage._pose_coeffs, t)
     k = len(linkage.chain_a.prefixes())
     rows = [j.factor_indices[0] + (0 if j.chain == "A" else k) for j in linkage.joints]
-    return Samples(t, poses[:, :k], poses[:, k:], _displacement_norms(poses[:, rows]), linkage)
+    n0 = _dot(poses[:, rows, :4], poses[:, rows, :4])
+    if np.any(n0 == 0):
+        raise ZeroPrimal("cannot act with zero primal part")
+    return Samples(t, poses[:, :k], poses[:, k:], n0, linkage)
 
 
 def trace_point(

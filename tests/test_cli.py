@@ -744,16 +744,21 @@ def test_plot_takes_one_point(capsys):
     assert "--point" in err
 
 
-@pytest.mark.parametrize(
-    "command, b",
-    [("simulate", "1e8"), ("mobility", "1e8"), ("plot", "1e8"), ("linkage", "1e9")],
-)
-def test_float_lane_refuses_rounded_norms_of_large_parameters(capsys, command, b):
-    # The real-norm guard on the rounded link poses (_displacement_norms)
-    # refuses these loops although float64 resolves them: at --b 1e8 the two
-    # chains close to about 2e-16, but n1 = 2 p.d of a rounded pose grows
-    # with b and the guard's bound, 1e-9 * max(1, n0), does not.  trace reads
-    # no pose, only the orbit polynomial, and passes (test_float_lane.py).
-    code, out, err = run(capsys, command, "--b", b)
-    assert_input_error(code, out, err)
-    assert err == "error: norm has a nonzero dual part\n"
+@pytest.mark.parametrize("command", ["simulate", "mobility", "plot", "linkage"])
+def test_float_lane_accepts_large_parameters(capsys, command):
+    # Every link pose of a loop is a displacement exactly, so the float lane
+    # tests no rounded norm: large b samples a loop float64 resolves, and the
+    # two chains close within 4 ulps.  Only an exact coefficient whose square
+    # overflows float64 stops the command.
+    for kind in ("FI+FIII", "FI+FII"):
+        for b in ("1e8", "1e9", "1e12", "1e40", "1e77"):
+            code, out, err = run(capsys, command, "--type", kind, "--b", b)
+            assert (code, err) == (0, ""), (kind, b)
+            if command == "simulate":
+                _, out, _ = run(capsys, command, "--type", kind, "--b", b, "--samples", "64")
+                residuals = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+                assert len(residuals) == 64, (kind, b)
+                assert max(residuals) <= 4 * sys.float_info.epsilon, (kind, b)
+        code, out, err = run(capsys, command, "--type", kind, "--b", "1e100")
+        assert_input_error(code, out, err)
+        assert err == "error: an exact coefficient of about 1e+200 overflows float64 when squared\n"

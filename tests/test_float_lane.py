@@ -3,7 +3,7 @@
 simulate, mobility, trace and plot sample float64 arrays.
 linkage.simulate is a loop's one float evaluation: it evaluates both
 chains' kept prefix products, rounded once per Linkage, at every t and
-checks n0 of the joint poses once, and its Samples' axes are the loop's
+forms n0 of the joint poses once, and its Samples' axes are the loop's
 exact axis polynomials P*h*conj(P), rounded once, over those n0, as
 axes_at does on ints; mobility and plot read those axes.
 MotionPoly.orbit evaluates a point's exact orbit polynomial
@@ -45,7 +45,7 @@ from darboux7r import (
 from darboux7r import linkage
 from darboux7r.cli import PAIR_TYPES, PARAM_DEFAULTS, main
 from darboux7r.conics import conic_orbit
-from darboux7r.dualquat import _displacement_norms, ray_gap
+from darboux7r.dualquat import _dot, ray_gap
 from darboux7r.linkage import (
     RANK_RTOL,
     _unit_screws,
@@ -130,7 +130,8 @@ def test_simulate_samples_the_batched_lane(kind):
         assert np.array_equal(poses, table)
         assert np.array_equal(poses, _horner_many(_coeff_array(chain.prefixes()), TS))
     links = [(s.poses_a if j.chain == "A" else s.poses_b)[:, j.factor_indices[0]] for j in l.joints]
-    assert np.array_equal(s.n0, _displacement_norms(np.stack(links, axis=1)))
+    primal = np.stack(links, axis=1)[..., :4]
+    assert np.array_equal(s.n0, _dot(primal, primal))  # n0 of each joint's link pose, bit for bit
     x = _horner_many(_coeff_array(l.axis_polys), TS) / s.n0[..., None]
     assert np.array_equal(s.axes, np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1))
     assert np.all(s.closure_residual < REL_TOL)
@@ -229,8 +230,8 @@ def test_orbit_stays_within_a_few_ulps_at_large_parameters(b):
 
 @pytest.mark.parametrize("kind", ["FI+FIII", "FI+FII"])
 def test_trace_at_large_parameters_samples_the_exact_orbit(capsys, kind):
-    # trace evaluates the orbit polynomial alone, so no rounded pose meets the
-    # float real-norm guard that still refuses simulate at this --b.
+    # trace evaluates the orbit polynomial alone, rounded once, and reads no
+    # link pose (simulate at large --b: test_cli.py).
     assert_trace_samples_the_exact_orbit(capsys, ["--type", kind, "--b", "1e8"], b=10**8)
 
 
@@ -267,8 +268,8 @@ POSE_ULPS_TOL = 4 * np.finfo(float).eps
 @pytest.mark.parametrize("b", [2, 10**4, 10**8, 10**12])
 @pytest.mark.parametrize("kind", ["FI+FII", "FI+FIII"])
 def test_poses_stay_within_a_few_ulps_at_large_parameters(kind, b):
-    # The loop's pose table, evaluated as simulate evaluates it: simulate's
-    # real-norm guard refuses FI+FIII from b = 10^8 (test_cli.py).
+    # The loop's pose table, evaluated as simulate evaluates it; simulate
+    # itself runs at large b in test_cli.py.
     l = loop(kind, DarbouxParams(Fraction(3, 2), Fraction(b), Fraction(2, 5)))
     poses = pose_table(l)
     for chain, batched in zip((l.chain_a, l.chain_b), poses):
@@ -323,3 +324,30 @@ def test_axes_of_random_loops_stay_within_a_few_ulps(kind, a, b, cxy, ts):
     except SingularChoice:
         assume(False)
     assert_axes_within_a_few_ulps(l, ts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PAIR_TYPES), rationals.filter(bool), st.lists(rationals, min_size=4, max_size=4)
+)
+def test_every_link_pose_is_a_displacement_exactly(kind, a, bcxy):
+    # The norm of a product of motion polynomials is the product of their
+    # norms, and each factor t - h of a loop has the real norm t^2 + 1.  So
+    # every chain prefix Q1*...*Qj has the real norm (t^2 + 1)^j: each link
+    # pose is a displacement for every real t, and simulate tests no
+    # rounded norm.
+    b, c, x, y = bcxy
+    p = DarbouxParams(a, b, c)
+    try:
+        if kind == "FI+FIII":
+            l = build_linkage(factor_fi(p), factor_fiii(p, x, y))
+        else:
+            l = loop(kind, p)  # FIV is one instance
+    except SingularChoice:
+        assume(False)
+    for chain in (l.chain_a, l.chain_b):
+        norm = MotionPoly.real((1,))
+        for prefix in chain.prefixes():
+            assert prefix.norm_poly().is_real()
+            assert prefix.norm_poly() == norm
+            norm = norm * MotionPoly.real((1, 0, 1))  # times t^2 + 1

@@ -3,8 +3,8 @@
 Inputs are dual quaternions, points, polynomials and loops with small
 random rational coefficients.  Coefficients round as float(Fraction)
 does, simulate's one Horner pass over both chains gives each link pose's
-scalar float values bit for bit, the real-norm guard refuses the rows
-that act refuses, with act's error, and the float lane multiplies only
+scalar float values bit for bit, scalar act refuses the rows that are no
+displacement, with its own errors, and the float lane multiplies only
 the exact polynomials it is meant to, on the first call.
 """
 
@@ -32,7 +32,7 @@ from darboux7r import (  # noqa: E402
     factor_fiii,
     simulate,
 )
-from darboux7r.dualquat import Quaternion, _displacement_norms, ray_gap  # noqa: E402
+from darboux7r.dualquat import Quaternion, ray_gap  # noqa: E402
 from darboux7r.linkage import mobility_many  # noqa: E402
 from darboux7r.motionpoly import _coeff_array  # noqa: E402
 from darboux7r.svgplot import render_linkage  # noqa: E402
@@ -175,24 +175,20 @@ def scalar_outcome(h: DualQuaternion, x):
     return f.p.norm()
 
 
-def guard_outcome(rows: np.ndarray):
-    """_displacement_norms of pose rows, or the error it raises."""
-    try:
-        return _displacement_norms(rows)
-    except (ZeroPrimal, NotADisplacement) as exc:
-        return type(exc)
-
-
 @settings(max_examples=150, deadline=None)
-@given(dual_quaternions, points)
+@given(st.one_of(dual_quaternions, displacements()), points)
 def test_act_fails_like_scalar_act(h, x):
-    # The guard accepts exactly the rows whose act succeeds and returns their
-    # n0, added in the scalar order; it refuses the others with act's error.
-    scalar, batched = scalar_outcome(h, x), guard_outcome(row(h))
-    if isinstance(scalar, type):
-        assert batched is scalar
+    # act on floats refuses a row with the error of the first precondition it
+    # fails and returns the image of the others; a displacement (p . d = 0
+    # exactly) passes the real-norm test after rounding.
+    f = h.to_float()
+    if not f.invertible():
+        assert scalar_outcome(h, x) is ZeroPrimal
+    elif not f.has_real_norm():
+        assert scalar_outcome(h, x) is NotADisplacement
+        assert h.p.dot(h.d) != 0
     else:
-        assert batched == scalar
+        assert scalar_outcome(h, x) == f.p.norm()
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,7 +196,6 @@ def test_act_fails_like_scalar_act(h, x):
 def test_act_zero_primal_raises(d, x):
     h = DualQuaternion(Quaternion(0, 0, 0, 0), d)
     assert scalar_outcome(h, x) is ZeroPrimal
-    assert guard_outcome(row(h)) is ZeroPrimal
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,18 +203,18 @@ def test_act_zero_primal_raises(d, x):
 def test_act_non_real_norm_raises(p, x):
     h = DualQuaternion(p, p)  # norm p.p + eps 2 p.p
     assert scalar_outcome(h, x) is NotADisplacement
-    assert guard_outcome(row(h)) is NotADisplacement
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(displacements(), min_size=2, max_size=6), st.integers(0, 5))
-def test_one_bad_sample_fails_the_batch(hs, k):
-    rows = np.array([row(h) for h in hs])
-    assert np.array_equal(guard_outcome(rows), [h.to_float().p.norm() for h in hs])
-    rows[k % len(hs)] = np.nan
-    assert guard_outcome(rows) is NotADisplacement
-    rows[k % len(hs)] = 0.0
-    assert guard_outcome(rows) is ZeroPrimal
+@given(st.lists(displacements(), min_size=2, max_size=6), st.integers(0, 5), points)
+def test_one_bad_sample_fails_the_batch(hs, k, x):
+    # act takes one row at a time: among displacements, which it accepts,
+    # a NaN row fails its real-norm test and a zero row its primal test.
+    # (A loop's float rows are displacements exactly and are not tested.)
+    assert [scalar_outcome(h, x) for h in hs] == [h.to_float().p.norm() for h in hs]
+    bad = hs[k % len(hs)].to_float()
+    assert scalar_outcome(DualQuaternion(bad.p, bad.d.scale(np.nan)), x) is NotADisplacement
+    assert scalar_outcome(DualQuaternion(bad.p.scale(0.0), bad.d), x) is ZeroPrimal
 
 
 @settings(max_examples=100, deadline=None)

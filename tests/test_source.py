@@ -215,3 +215,21 @@ def test_only_simulate_and_the_orbit_sampler_evaluate_rounded_tables():
         and "_horner_many" in names_bound_or_loaded(node)
     ]
     assert found == []
+
+
+# A loop's link poses are displacements exactly: each one's norm is the
+# product of its rotation factors' real norms, which check_rotation_chain
+# proves.  So the float lane keeps no array twin of has_real_norm; only
+# the scalar act and classify test the norm of floats a caller passes in.
+
+
+def test_the_float_lane_tests_no_rounded_norm():
+    assert kernel_names_found({"_displacement_norms"}) == []
+    found = kernel_names_found({"_FLOAT_REAL_NORM_RTOL"})
+    assert [where for where in found if not where.startswith("dualquat.py:")] == []
+
+
+def test_joints_are_read_off_identical_adjacent():
+    # check_rotation_chain proves each pair names two equal adjacent factors,
+    # so no module compares the factors again to find a joint's run.
+    assert kernel_names_found({"_runs_of_equal"}) == []
