@@ -358,9 +358,7 @@ class Samples:
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
     """Exact projective equality of the two chain end poses at rational t."""
-    ea = chain_poses(linkage.chain_a, t)[-1]
-    eb = chain_poses(linkage.chain_b, t)[-1]
-    return projectively_equal(ea, eb)
+    return projectively_equal(linkage.chain_a.product().eval(t), linkage.chain_b.product().eval(t))
 
 
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:

@@ -6,28 +6,30 @@ each frame every joint axis is drawn as a segment about its point
 nearest the origin; an axis parallel to the viewing direction projects
 to a point and is drawn as a small circle instead.  The loop polyline
 connects consecutive joint anchors, colored by chain, and an optional
-traced point orbit is drawn behind the linkage.  The orbit is projected
-once; each frame maps it to the screen with array operations, in the
-order of the scalar to_screen formula, and formats its path with one
+traced point orbit is drawn behind the linkage.  One array pass over the
+sampled axes gives every frame's anchors and directions, and projecting
+is indexing.  Each frame maps its anchors and the orbit to the screen
+with one elementwise array formula and formats the orbit's path with one
 %-template, so the text is that of formatting each vertex alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ._numpy import np
 from .darboux import t_grid
+from .dualquat import vcross, vdot
 from .errors import KinematicsError
 from .linkage import Linkage, simulate
 from .scalars import Scalar
 
-# (u-axis, v-axis, view direction) as coordinate indices
+# (u-axis, v-axis) as coordinate indices
 _VIEWS = {
-    "xy": (0, 1, 2),
-    "xz": (0, 2, 1),
-    "yz": (1, 2, 0),
+    "xy": (0, 1),
+    "xz": (0, 2),
+    "yz": (1, 2),
 }
 
 _CHAIN_COLORS = {"A": "#1f6fb4", "B": "#c44e52"}
@@ -39,26 +41,13 @@ _TRACE_SAMPLES = 120  # vertices of the traced orbit
 _TRACE_PATH = "M%.2f,%.2f" + " L%.2f,%.2f" * (_TRACE_SAMPLES - 1)
 
 
-def _project(point: Sequence[float], view: str) -> Tuple[float, float]:
-    iu, iv, _ = _VIEWS[view]
-    return (float(point[iu]), float(point[iv]))
-
-
 def _axis_screen_data(linkage: Linkage, ts: Sequence):
-    """Anchor points nearest the origin and unit directions of every joint axis, per t."""
-    axes = simulate(linkage, ts).axes
-    d, m = axes[..., :3], axes[..., 3:]
-    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
-    m0, m1, m2 = m[..., 0], m[..., 1], m[..., 2]
-    n2 = (d0 * d0 + d1 * d1 + d2 * d2)[..., None]
-    # d x m / |d|^2, as AxisLine.point_nearest_origin
-    anchors = np.stack((d1 * m2 - d2 * m1, d2 * m0 - d0 * m2, d0 * m1 - d1 * m0), axis=-1) / n2
-    return anchors.tolist(), (d / np.sqrt(n2)).tolist()
-
-
-def _is_view_parallel(direction: Tuple[float, float, float], view: str) -> bool:
-    iu, iv, _ = _VIEWS[view]
-    return math.hypot(direction[iu], direction[iv]) <= _VIEW_PARALLEL_TOL
+    """Anchors nearest the origin and unit directions of every joint axis, shape (3, len(ts), n)."""
+    axes = np.moveaxis(simulate(linkage, ts).axes, -1, 0)
+    d, m = axes[:3], axes[3:]
+    n2 = vdot(d, d)
+    # as AxisLine.point_nearest_origin
+    return np.array(vcross(d, m)) / n2, d / np.sqrt(n2)
 
 
 def render_linkage(
@@ -67,27 +56,22 @@ def render_linkage(
     """Render configurations at the given parameter values as an SVG grid."""
     if view not in _VIEWS:
         raise KinematicsError(f"unknown view {view!r}; expected one of xy, xz, yz")
-    if not ts:
+    if len(ts) == 0:
         raise KinematicsError("need at least one parameter value to plot")
 
-    frames = list(zip((float(t) for t in ts), *_axis_screen_data(linkage, ts)))
-
-    trace_uv = None  # the orbit's projected coordinates, two arrays
-    if trace_point is not None:
-        iu, iv, _ = _VIEWS[view]
-        orbit = linkage.product_a.orbit(trace_point, t_grid(_TRACE_SAMPLES))
-        trace_uv = (orbit[:, iu], orbit[:, iv])
+    uv = list(_VIEWS[view])
+    anchors, dirs = _axis_screen_data(linkage, ts)
+    anchors_uv = anchors[uv]  # (2, len(ts), n)
+    du, dv = dirs[uv].tolist()
+    colors = [_CHAIN_COLORS[joint.chain] for joint in linkage.joints]
 
     # Shared bounding box so all frames use one scale.
-    pts2: List[Tuple[float, float]] = []
-    for _, anchors, _ in frames:
-        pts2.extend(_project(p, view) for p in anchors)
-    if trace_uv is not None:
-        pts2.extend(zip(trace_uv[0].tolist(), trace_uv[1].tolist()))
-    us = [p[0] for p in pts2]
-    vs = [p[1] for p in pts2]
-    umin, umax = min(us), max(us)
-    vmin, vmax = min(vs), max(vs)
+    box = anchors_uv.reshape(2, -1)
+    trace_uv = None  # the orbit's projected coordinates, (2, _TRACE_SAMPLES)
+    if trace_point is not None:
+        trace_uv = linkage.product_a.orbit(trace_point, t_grid(_TRACE_SAMPLES))[:, uv].T
+        box = np.hstack((box, trace_uv))
+    (umin, vmin), (umax, vmax) = box.min(axis=1).tolist(), box.max(axis=1).tolist()
     diam = math.hypot(umax - umin, vmax - vmin)
     if diam == 0.0:
         diam = 1.0
@@ -103,18 +87,18 @@ def render_linkage(
     span = max(umax - umin, vmax - vmin)
     scale = inner / span
 
-    n = len(frames)
+    n = len(ts)
     cols = min(n, max(1, math.ceil(math.sqrt(n))))
     rows = math.ceil(n / cols)
     width = cols * _CELL
     height = rows * _CELL
 
     def to_screen(u, v, col: int, row: int):
-        # Floats or float64 arrays, in the same operations.  Center the
-        # scene in the cell; SVG y grows downward.
+        # Float64 arrays, elementwise.  Center the scene in the cell; SVG y
+        # grows downward.
         sx = col * _CELL + margin + (u - umin) * scale + (inner - (umax - umin) * scale) / 2
         sy = row * _CELL + margin + (vmax - v) * scale + (inner - (vmax - vmin) * scale) / 2
-        return (sx, sy)
+        return np.column_stack((sx, sy))
 
     out: List[str] = []
     out.append(
@@ -123,7 +107,7 @@ def render_linkage(
     )
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
 
-    for idx, (t, anchors, dirs) in enumerate(frames):
+    for idx, t in enumerate(ts):
         col = idx % cols
         row = idx // cols
         out.append(f'<g data-frame="{idx}">')
@@ -133,47 +117,38 @@ def render_linkage(
         )
 
         if trace_uv is not None:
-            sx, sy = to_screen(*trace_uv, col, row)
-            path = _TRACE_PATH % tuple(np.column_stack((sx, sy)).ravel().tolist())
+            path = _TRACE_PATH % tuple(to_screen(*trace_uv, col, row).ravel().tolist())
             out.append(
                 f'<path d="{path} Z" fill="none" stroke="{_TRACE_COLOR}" '
                 f'stroke-width="1"/>'
             )
 
         # Loop polyline through consecutive anchors (links), colored by chain.
-        screen = [to_screen(*_project(p, view), col, row) for p in anchors]
-        m = len(anchors)
+        screen = to_screen(*anchors_uv[:, idx], col, row).tolist()
+        m = len(screen)
         for i in range(m):
             j = (i + 1) % m
             x1, y1 = screen[i]
             x2, y2 = screen[j]
-            chain = linkage.joints[j].chain
-            color = _CHAIN_COLORS.get(chain, "#444444")
             out.append(
                 f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
+                f'stroke="{colors[j]}" stroke-width="1.5"/>'
             )
 
-        for i in range(m):
-            chain = linkage.joints[i].chain
-            color = _CHAIN_COLORS.get(chain, "#444444")
-            ax, ay = screen[i]
-            d = dirs[i]
-            if _is_view_parallel(d, view):
+        for i, ((ax, ay), eu, ev) in enumerate(zip(screen, du[idx], dv[idx])):
+            ln = math.hypot(eu, ev)
+            if ln <= _VIEW_PARALLEL_TOL:
                 out.append(
-                    f'<circle cx="{ax:.2f}" cy="{ay:.2f}" r="4" fill="{color}"/>'
+                    f'<circle cx="{ax:.2f}" cy="{ay:.2f}" r="4" fill="{colors[i]}"/>'
                 )
             else:
-                iu, iv, _ = _VIEWS[view]
-                du, dv = d[iu], d[iv]
-                ln = math.hypot(du, dv)
                 # unit in-view direction; world-length half_axis each way
-                ex = du / ln * half_axis * scale
-                ey = -dv / ln * half_axis * scale
+                ex = eu / ln * half_axis * scale
+                ey = -ev / ln * half_axis * scale
                 out.append(
                     f'<line x1="{ax - ex:.2f}" y1="{ay - ey:.2f}" '
                     f'x2="{ax + ex:.2f}" y2="{ay + ey:.2f}" '
-                    f'stroke="{color}" stroke-width="2.5"/>'
+                    f'stroke="{colors[i]}" stroke-width="2.5"/>'
                 )
             out.append(
                 f'<text x="{ax + 6:.2f}" y="{ay - 6:.2f}" font-size="10" '
@@ -182,7 +157,7 @@ def render_linkage(
 
         out.append(
             f'<text x="{col * _CELL + 8}" y="{row * _CELL + 16}" font-size="11" '
-            f'fill="#333333">t = {t:.4g}</text>'
+            f'fill="#333333">t = {float(t):.4g}</text>'
         )
         out.append("</g>")
 

@@ -295,6 +295,35 @@ def test_plot_point_overlay_one_orbit_per_frame(capsys):
     )
 
 
+PLOT_LOOPS = (
+    ("--type", "FIV"),
+    ("--type", "FI+FIII", "--a", "3/2", "--b=-1", "--c", "2/5", "--x", "1/3", "--y=-2/7"),
+    ("--type", "FI+FII", "--a", "3/2", "--b=-1", "--c", "2/5"),
+    ("--type", "FI+FIII", "--b", "0", "--c", "0"),  # planar
+)
+PLOT_RUNS = [
+    (*loop, "--view", view, *point)
+    for loop in PLOT_LOOPS
+    for view in ("xy", "xz", "yz")
+    for point in ((), ("--point=1/2,-1/3,2",))
+] + [("--samples", "1"), ("--samples", "16", "--t-min=-3", "--t-max=5")]
+PLOT_DIGESTS = (
+    "5831bc06ec18755e239f0a9c5336cef589d573fb7020c4347a481e0b15051e3a", "7d9058b5311fa5b0bc121e0d0b073c35a736f3f9bb8c7c3aa9cc761aa7c83f26",
+    "896eaf3f2584a4f9fc6cea0df61087f220fc4ee2af22e37811ab087ab4457c3b", "9cdba797bd360dafb606aecc5a8a9d170a5699311e3e566654dcdb8f27c18ba5",
+    "92e198e4acfa00b9ead96a3155664f12341b274d0fdc00cacd2d3090adf7b71d", "a9afe326b561bc6f8ed48ccf33e04ef0bfbc9c5b8dedcb2e6639b59fb0801fa3",
+    "ab5906234253334a07ec63729c167eb16a0f1759fa48b1dac24dcc710c56e834", "f3d341075d8f1e6402e6111c401d179a5ecba767863b99e023a5263b29e398c6",
+    "920c3e2a99be40a549bd8b849792b86f92a5a269759ee9c7ce9aaf49b62c6aae", "01f764142d8e32e537dff7dd88001369b730c22afe3c5f3d7cae326c17bbe211",
+    "a9f0a413d05b30c7680ee7d5721d4654ff4a885595f87d269441d9ad73207691", "c0cb37ceddc4ce67d74341130f10cd358ac431c95b5533a31d1cacd0984216c1",
+    "62e05264846d4bba5ca2c7f80b7c2cec3438e488ca49555596c6b562a9b7f53e", "caa6be960fe5335bd02b4a0bb978171fe268535faf385dec1b917a5085b6e0d8",
+    "76b9288b1b5ef0ff0497ec5e015f69eb5ad633e0304058b2f043055cb8008117", "7444ca6298e0372ce9779ff85922232a178209d9420da1ee35b9544bccb2f527",
+    "0046d1c7acad7db85de0072df0c9add785efdef9d5d67776ae1d4e5d708a8d78", "f3637287fa9a19320de51872769c9f3409d648d3644420a1e538613e7b3ad9b9",
+    "ab328c99fa4ac689411b3ccbb3c97bb8e1acefe8ec418eebafb2e5edd9ff96d8", "8fe7cf3cb5eaa95c83d8ed8212c229551327840beb7b81149611dae46a4140f5",
+    "a2302c1e27ff271caf63e3cdd6f3cc084dc30b35fc419683c465651f69b859b4", "87a090f1efe92238ae49346b0f14ddf2f92bdee9b8ee77a58e50e16074d127f4",
+    "a5c0fc1ab7cdf9e40456774710769f768b8a1199e008f9b4af32380c3d775785", "d6d28142b981a2e5e58b59911d7d172846767c0c5e2e5c66a9beb2cf7866e7d8",
+    "04ff9ed88b269f86ff743d06db3ccf0660761077c2a092e6feab05f1c619186f", "21cf5cd7e436f34babe236be2e2e16bc2634671e04227d5eea5c2f97f7592a37",
+)
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -305,11 +334,15 @@ def test_plot_point_overlay_one_orbit_per_frame(capsys):
          "05c761fcb8fd2b9fc8650c26f6745252d8190d4f8881114a6bc918c5dda19cf3"),
         (("--type", "FI+FII", "--b=-7/3"),
          "56c75f26c45fa376d670abd5226f19e656be95c5cd8eca8033de25e26715c749"),
-    ],
+    ] + list(zip(PLOT_RUNS, PLOT_DIGESTS)),
 )
 def test_plot_bytes_are_pinned(capsys, argv, digest):
     # Each loop type, a non-default view and frame count, and a non-dyadic
-    # orbit point: the SVG text may only change on purpose.
+    # orbit point: the SVG text may only change on purpose.  PLOT_RUNS draw
+    # four loops in each view, with and without an orbit, one frame, and a
+    # shifted grid.  Axes along the view direction are drawn as circles (FIV
+    # and the planar loop in xy, FI+FII in yz, among others), the rest as
+    # segments, so both branches of each frame are pinned.
     code, out, _ = run(capsys, "plot", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

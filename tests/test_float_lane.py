@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from darboux7r import (
     DarbouxParams,
     DualQuaternion,
+    KinematicsError,
     MotionPoly,
     NotADisplacement,
     SingularChoice,
@@ -151,6 +152,18 @@ def test_mobility_at_is_one_sample_of_mobility_many():
     l = loop("FI+FIII")
     for t, rep in zip(TS, mobility_many(l, TS)):
         assert mobility_at(l, t) == rep
+
+
+def test_plot_takes_an_array_of_parameter_values():
+    # As simulate and mobility_many do: an ndarray draws the SVG of the
+    # equal list, and an empty one is refused like an empty list.
+    l = loop("FI+FIII")
+    ts = np.linspace(-1, 1, 5)
+    for point in (None, (1, 2, 3)):
+        assert render_linkage(l, ts, "xy", point) == render_linkage(l, ts.tolist(), "xy", point)
+    for empty in ([], np.array([])):
+        with pytest.raises(KinematicsError, match="need at least one parameter value"):
+            render_linkage(l, empty, "xy", None)
 
 
 def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch):

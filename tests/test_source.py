@@ -88,6 +88,14 @@ def test_only_the_numpy_handle_imports_numpy():
 
 
 MAX_DEFAULTED_PARAMETERS = 3
+MAX_SOURCE_LINES = 2832
+
+
+def test_source_lines_stay_at_the_ceiling():
+    # Deletions count as progress: src/ may not grow past the newline count
+    # (as wc -l gives it) that the last change left, unless a change raises
+    # the ceiling and says why.
+    assert sum(path.read_text().count("\n") for path in SOURCES) <= MAX_SOURCE_LINES
 
 
 def test_parameters_with_a_default_stay_at_the_ceiling():
@@ -233,3 +241,23 @@ def test_joints_are_read_off_identical_adjacent():
     # check_rotation_chain proves each pair names two equal adjacent factors,
     # so no module compares the factors again to find a joint's run.
     assert kernel_names_found({"_runs_of_equal"}) == []
+
+
+def test_plot_frames_map_anchors_like_the_orbit():
+    # svgplot forms every anchor d x m / |d|^2 with dualquat's vcross and
+    # vdot on component-first arrays and projects by indexing, so neither a
+    # point-at-a-time projection nor a second in-view length test comes back.
+    assert kernel_names_found({"_project", "_is_view_parallel"}) == []
+    svgplot = ast.parse((Path(darboux7r.__file__).parent / "svgplot.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(svgplot)
+        if isinstance(node, ast.ImportFrom) and node.module == "dualquat"
+        for alias in node.names
+    }
+    loaded = {
+        node.id
+        for node in ast.walk(svgplot)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert {"vcross", "vdot"} <= imported & loaded
