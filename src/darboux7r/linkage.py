@@ -17,8 +17,8 @@ P*h*conj(P) once per loop, on first use; building a loop forms no axis.
 
 Two lanes evaluate the kept polynomials: chain_poses and axes_at at one
 exact (or float) parameter, axes_at on ints, and simulate, the one float64
-sampler of a loop, whose Samples divide the axis polynomials by n0 of the
-poses; mobility and svgplot read them.  Every link pose is a rigid
+sampler of a loop, whose Samples evaluate on first read; mobility and svgplot
+read their lines (axes times n0) and no pose.  Every link pose is a rigid
 displacement exactly: its norm is the product of its rotation factors'
 real norms (check_rotation_chain), so the float lane tests no norm again.
 A Linkage rounds its prefixes, axis polynomials and roots once each.
@@ -207,7 +207,7 @@ def axes_at(linkage: Linkage, t: Scalar) -> Tuple[AxisLine, ...]:
 
 
 def _unit_screws(axes: np.ndarray) -> np.ndarray:
-    """Screw matrices (..., 6, n) of axis rows (..., n, 6), scaled to unit direction."""
+    """Unit-direction screw matrices (..., 6, n) of axis rows (..., n, 6) at any positive scale."""
     n = np.linalg.norm(axes[..., :3], axis=-1, keepdims=True)
     return np.swapaxes(axes / n, -1, -2)
 
@@ -226,10 +226,10 @@ def mobility_many(
 ) -> Tuple[MobilityReport, ...]:
     """Instantaneous mobility at every t from the rank of the joint screw system.
 
-    dof = joint_count - numeric rank, with singular values below
-    tol * sigma_max treated as zero.  One batched SVD covers all samples.
+    dof = joint_count - numeric rank, singular values below tol * sigma_max counting as
+    zero.  One batched SVD covers all samples; the unit screws read simulate's lines, no pose.
     """
-    sv = np.linalg.svd(_unit_screws(simulate(linkage, ts).axes), compute_uv=False)
+    sv = np.linalg.svd(_unit_screws(simulate(linkage, ts).lines), compute_uv=False)
     smax = sv[:, :1]
     ranks = np.where(smax[:, 0] > 0, np.sum(sv > tol * smax, axis=1), 0)
     return tuple(
@@ -330,16 +330,28 @@ def substructure_report(linkage: Linkage) -> SubstructureReport:
 class Samples:
     """Simulated configurations of the closed loop as float64 arrays, N samples.
 
-    t (N,), poses_a / poses_b the link poses of each chain (N, k + 1, 8), n0
-    (N, n) of each joint's link pose; formed on first read: angles (N, n),
-    closure_residual (N,) and axes (N, n, 6), rows [direction, moment].
+    t (N,); formed on first read, the poses from one kept evaluation of the
+    pose table: poses_a / poses_b the link poses of each chain (N, k + 1, 8),
+    n0 (N, n) of each joint's link pose, angles (N, n), closure_residual (N,),
+    lines (N, n, 6) the rounded axis_polys at t as rows [primal vector, -dual
+    vector], and axes = lines / n0, rows [direction, moment], as axes_at.
     """
 
     t: np.ndarray
-    poses_a: np.ndarray
-    poses_b: np.ndarray
-    n0: np.ndarray
     linkage: Linkage
+
+    _poses = cached_property(lambda self: _horner_many(self.linkage._pose_coeffs, self.t))
+    _k = property(lambda self: len(self.linkage.chain_a.prefixes()))
+    poses_a = cached_property(lambda self: self._poses[:, : self._k])
+    poses_b = cached_property(lambda self: self._poses[:, self._k :])
+
+    @cached_property
+    def n0(self) -> np.ndarray:
+        rows = [j.factor_indices[0] + (j.chain == "B") * self._k for j in self.linkage.joints]
+        primal = self._poses[:, rows, :4]
+        if np.any((n0 := _dot(primal, primal)) == 0):
+            raise ZeroPrimal("cannot act with zero primal part")
+        return n0
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -351,9 +363,11 @@ class Samples:
         return ray_gap(self.poses_a[:, -1], self.poses_b[:, -1])
 
     @cached_property
-    def axes(self) -> np.ndarray:  # the rounded axis_polys over n0, as axes_at
-        x = _horner_many(self.linkage._axis_coeffs, self.t) / self.n0[..., None]
+    def lines(self) -> np.ndarray:
+        x = _horner_many(self.linkage._axis_coeffs, self.t)
         return np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1)
+
+    axes = cached_property(lambda self: self.lines / self.n0[..., None])
 
 
 def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
@@ -364,17 +378,11 @@ def closes_exactly(linkage: Linkage, t: Scalar) -> bool:
 def simulate(linkage: Linkage, ts: Sequence[Scalar]) -> Samples:
     """Sample the loop at the given parameter values (float64): its one float evaluation.
 
-    One Horner pass over both chains' rounded prefixes.  The poses are exact
-    displacements (module docstring), so only a zero n0 of a joint pose is refused.
+    Rounds and bounds both chains' prefixes; the Samples evaluate on first read.  The poses
+    are exact displacements (module docstring), so only a zero n0 of a joint pose is refused.
     """
-    t = np.asarray(ts, dtype=float)
-    poses = _horner_many(linkage._pose_coeffs, t)
-    k = len(linkage.chain_a.prefixes())
-    rows = [j.factor_indices[0] + (0 if j.chain == "A" else k) for j in linkage.joints]
-    n0 = _dot(poses[:, rows, :4], poses[:, rows, :4])
-    if np.any(n0 == 0):
-        raise ZeroPrimal("cannot act with zero primal part")
-    return Samples(t, poses[:, :k], poses[:, k:], n0, linkage)
+    linkage._pose_coeffs  # a square beyond float64 is refused before any table is read
+    return Samples(np.asarray(ts, dtype=float), linkage)
 
 
 def trace_point(

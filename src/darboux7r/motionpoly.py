@@ -380,8 +380,9 @@ def _horner_many(coeffs: np.ndarray, ts: Sequence[Scalar]) -> np.ndarray:
     """Values of (m, d + 1, 8) coefficient arrays at every t, shape (len(ts), m, 8), as eval."""
     t = np.asarray(ts, dtype=float)[:, None, None]
     acc = np.zeros((t.shape[0],) + coeffs.shape[:1] + (8,))
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * t + coeffs[:, k]
+    for k in range(coeffs.shape[1] - 1, -1, -1):  # one accumulator, updated in place
+        acc *= t
+        acc += coeffs[:, k]
     return acc
 
 

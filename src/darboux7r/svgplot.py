@@ -7,10 +7,11 @@ nearest the origin; an axis parallel to the viewing direction projects
 to a point and is drawn as a small circle instead.  The loop polyline
 connects consecutive joint anchors, colored by chain, and an optional
 traced point orbit is drawn behind the linkage.  One array pass over the
-sampled axes gives every frame's anchors and directions, and projecting
-is indexing.  Each frame maps its anchors and the orbit to the screen
-with one elementwise array formula and formats the orbit's path with one
-%-template, so the text is that of formatting each vertex alone.
+sampled axis lines (Samples.lines, the axes times n0 > 0) gives every
+frame's anchors and directions, and projecting is indexing.  Each frame
+maps its anchors and the orbit to the screen with one elementwise array
+formula and formats the orbit's path with one %-template, so the text is
+that of formatting each vertex alone.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ _TRACE_PATH = "M%.2f,%.2f" + " L%.2f,%.2f" * (_TRACE_SAMPLES - 1)
 
 def _axis_screen_data(linkage: Linkage, ts: Sequence):
     """Anchors nearest the origin and unit directions of every joint axis, shape (3, len(ts), n)."""
-    axes = np.moveaxis(simulate(linkage, ts).axes, -1, 0)
-    d, m = axes[:3], axes[3:]
-    n2 = vdot(d, d)
-    # as AxisLine.point_nearest_origin
-    return np.array(vcross(d, m)) / n2, d / np.sqrt(n2)
+    lines = np.moveaxis(simulate(linkage, ts).lines, -1, 0)
+    d, m = lines[:3], lines[3:]
+    n2 = vdot(d, d)  # |d| = n0 <= (t^2 + 1)^4: finite for |t| <= 1e16
+    # as AxisLine.point_nearest_origin, but m, which grows with n0 too, is never multiplied by d
+    return np.array(vcross(d / n2, m)), d / np.sqrt(n2)
 
 
 def render_linkage(

@@ -795,3 +795,22 @@ def test_float_lane_accepts_large_parameters(capsys, command):
         code, out, err = run(capsys, command, "--type", kind, "--b", "1e100")
         assert_input_error(code, out, err)
         assert err == "error: an exact coefficient of about 1e+200 overflows float64 when squared\n"
+
+
+# FI+FIII at a = 1e100 has coefficients whose squares overflow, and exits 2.
+HUGE_PARAMETERS = [
+    (kind, "--b", b) for kind in ("FI+FIII", "FI+FII") for b in ("1e40", "1e77")
+] + [("FI+FII", "--a", "1e100")]
+
+
+@pytest.mark.parametrize("t", ["1e16", "-1e16"])
+@pytest.mark.parametrize("kind, flag, value", HUGE_PARAMETERS)
+@pytest.mark.parametrize("command", ["mobility", "plot"])
+def test_huge_parameters_at_huge_t_exit_zero(capsys, command, kind, flag, value, t):
+    # mobility and plot read the axis lines, which are not divided by n0 and
+    # grow like t^(2 deg P); a plot anchor divides the direction by its square
+    # before it meets the moment, so neither overflows where the axes do not.
+    argv = ("--type", kind, flag, value, f"--t-min={t}", f"--t-max={t}", "--samples", "1")
+    code, out, err = run(capsys, command, *argv)
+    assert (code, err) == (0, "")
+    assert "nan" not in out and "inf" not in out

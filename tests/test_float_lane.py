@@ -1,11 +1,12 @@
 """The batched float64 lane against the exact lane, for every loop type.
 
 simulate, mobility, trace and plot sample float64 arrays.
-linkage.simulate is a loop's one float evaluation: it evaluates both
-chains' kept prefix products, rounded once per Linkage, at every t and
-forms n0 of the joint poses once, and its Samples' axes are the loop's
-exact axis polynomials P*h*conj(P), rounded once, over those n0, as
-axes_at does on ints; mobility and plot read those axes.
+linkage.simulate is a loop's one float evaluation: its Samples evaluate
+both chains' kept prefix products, rounded once per Linkage, at every t
+on first read and form n0 of the joint poses once, and their lines are
+the loop's exact axis polynomials P*h*conj(P), rounded once, at t; the
+axes are the lines over those n0, as axes_at does on ints.  mobility and
+plot read the lines, which n0 > 0 only scales, and evaluate no pose.
 MotionPoly.orbit evaluates a point's exact orbit polynomial
 P*(1 - eps*x)*P~, rounded once.  Here each sample is
 recomputed on the exact lane at the same parameter value (Fraction(t) is
@@ -43,7 +44,7 @@ from darboux7r import (
     t_grid,
     trace_fit,
 )
-from darboux7r import linkage
+from darboux7r import linkage, svgplot
 from darboux7r.cli import PAIR_TYPES, PARAM_DEFAULTS, main
 from darboux7r.conics import conic_orbit
 from darboux7r.dualquat import _dot, ray_gap
@@ -133,12 +134,42 @@ def test_simulate_samples_the_batched_lane(kind):
     links = [(s.poses_a if j.chain == "A" else s.poses_b)[:, j.factor_indices[0]] for j in l.joints]
     primal = np.stack(links, axis=1)[..., :4]
     assert np.array_equal(s.n0, _dot(primal, primal))  # n0 of each joint's link pose, bit for bit
-    x = _horner_many(_coeff_array(l.axis_polys), TS) / s.n0[..., None]
-    assert np.array_equal(s.axes, np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1))
+    x = _horner_many(_coeff_array(l.axis_polys), TS)
+    assert np.array_equal(s.lines, np.concatenate((x[..., 1:4], -x[..., 5:]), axis=-1))
+    assert np.array_equal(s.axes, s.lines / s.n0[..., None])  # bit for bit
+    y = x / s.n0[..., None]  # dividing first gives the same bits: negation commutes exactly
+    assert np.array_equal(s.axes, np.concatenate((y[..., 1:4], -y[..., 5:]), axis=-1))
     assert np.all(s.closure_residual < REL_TOL)
     for i, t in enumerate(TS):
         for angle, j in zip(s.angles[i], l.joints):
             assert angle == j.multiplicity * joint_angle(j.root, t)
+
+
+# mobility_many's unit screws read the lines, not the axes, so each screw
+# row is its axis times n0 rounded once more before the unit scaling; the
+# singular values move by a few ulps of sigma_max and no rank changes
+# (measured: at most 3.04 ulps on these loops).
+SCREW_ULPS_TOL = 8 * np.finfo(float).eps
+SCREW_LOOPS = [(kind, PARAMS) for kind in PAIR_TYPES] + [
+    (kind, params)
+    for b in (Fraction(10**3), Fraction(10**6))
+    for kind, params in (
+        ("FI+FIII", DarbouxParams(Fraction(1), b, Fraction(0))),
+        ("FI+FII", DarbouxParams(Fraction(3, 2), b, Fraction(2, 5))),
+    )
+]
+
+
+@pytest.mark.parametrize("kind, params", SCREW_LOOPS)
+def test_screws_of_the_lines_are_the_screws_of_the_axes(kind, params):
+    if kind == "FI+FIII" and params != PARAMS:  # FI+FIII (1, b, 0, 0, 0)
+        l = build_linkage(factor_fi(params), factor_fiii(params, Fraction(0), Fraction(0)))
+    else:
+        l = loop(kind, params)
+    of_axes = np.linalg.svd(_unit_screws(simulate(l, TS).axes), compute_uv=False)
+    for rep, sv in zip(mobility_many(l, TS), of_axes):
+        assert np.all(np.abs(np.array(rep.singular_values) - sv) <= SCREW_ULPS_TOL * sv[0])
+        assert rep.rank == np.sum(sv > RANK_RTOL * sv[0])
 
 
 def test_fiv_special_postures_on_explicit_grid():
@@ -168,8 +199,10 @@ def test_plot_takes_an_array_of_parameter_values():
 
 def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch):
     # A Linkage rounds its pose table, its axis table and its roots on first
-    # use; simulate, mobility_many and render_linkage all read those tables,
-    # and mobility_many reads only the axes of simulate's Samples.
+    # use; simulate, mobility_many and render_linkage all read those tables.
+    # simulate rounds and bounds the pose table, but mobility_many and
+    # render_linkage read only the lines of its Samples: they evaluate no
+    # pose table and form no n0, angles or closure residual.
     rounded, made = [], []
 
     def counted(polys):
@@ -182,6 +215,7 @@ def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch)
 
     monkeypatch.setattr(linkage, "_coeff_array", counted)
     monkeypatch.setattr(linkage, "simulate", kept)
+    monkeypatch.setattr(svgplot, "simulate", kept)
 
     def rounds(call) -> int:
         rounded.clear()
@@ -191,9 +225,10 @@ def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch)
     for kind in PAIR_TYPES:
         l = loop(kind)
         assert rounds(lambda: mobility_many(l, TS)) == 2  # poses, then axes
-        assert "angles" not in vars(made[-1]) and "closure_residual" not in vars(made[-1])
         assert rounds(lambda: mobility_many(l, TS)) == 0
         assert rounds(lambda: render_linkage(l, TS, "xy", (1, 2, 3))) == 0
+        for read in made[-3:]:  # by mobility_many twice, then by render_linkage
+            assert sorted(vars(read)) == ["lines", "linkage", "t"]
         s = simulate(l, TS)
         assert rounds(lambda: s.angles) == 1  # the roots
         assert rounds(lambda: (simulate(l, TS).angles, s.axes, s.closure_residual)) == 0
@@ -201,6 +236,7 @@ def test_a_loop_rounds_its_tables_once_and_mobility_forms_no_angles(monkeypatch)
         assert rounds(lambda: simulate(twin, TS)) == 1
         assert rounds(lambda: render_linkage(twin, TS, "xy", None)) == 1
         assert rounds(lambda: mobility_many(twin, TS)) == 0
+        assert sorted(vars(made[-1])) == ["lines", "linkage", "t"]
 
 
 def test_a_polynomial_that_is_no_motion_has_no_orbit():

@@ -2,10 +2,12 @@
 
 Inputs are dual quaternions, points, polynomials and loops with small
 random rational coefficients.  Coefficients round as float(Fraction)
-does, simulate's one Horner pass over both chains gives each link pose's
-scalar float values bit for bit, scalar act refuses the rows that are no
-displacement, with its own errors, and the float lane multiplies only
-the exact polynomials it is meant to, on the first call.
+does, the Horner pass that updates one accumulator in place keeps the
+bits of a fresh array each step, simulate's one Horner pass over both
+chains gives each link pose's scalar float values bit for bit, scalar
+act refuses the rows that are no displacement, with its own errors, and
+the float lane multiplies only the exact polynomials it is meant to, on
+the first call.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from darboux7r import (  # noqa: E402
     DarbouxParams,
@@ -34,7 +37,7 @@ from darboux7r import (  # noqa: E402
 )
 from darboux7r.dualquat import Quaternion, ray_gap  # noqa: E402
 from darboux7r.linkage import mobility_many  # noqa: E402
-from darboux7r.motionpoly import _coeff_array  # noqa: E402
+from darboux7r.motionpoly import _coeff_array, _horner_many  # noqa: E402
 from darboux7r.svgplot import render_linkage  # noqa: E402
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -98,6 +101,35 @@ def test_coefficient_rows_are_each_fraction_rounded(coeffs):
     p = MotionPoly(coeffs)
     expected = np.array([[float(v) for v in c] for c in p.coeffs]).reshape(-1, 8)
     assert np.array_equal(_coeff_array([p])[0], expected)
+
+
+# Finite values of either sign and size, signed zeros and infinities.
+horner_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(allow_nan=False, allow_infinity=False)
+)
+horner_ts = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 3), st.integers(1, 5), st.just(8)), elements=horner_entries
+    ),
+    st.lists(horner_ts, min_size=1, max_size=5),
+)
+def test_the_in_place_horner_pass_keeps_every_bit(coeffs, ts):
+    # _horner_many updates one accumulator in place: the same multiplies and
+    # adds in the same order as a fresh array each step, so the same bits,
+    # signed zeros, infinities and NaNs (0 * inf) included.
+    t = np.asarray(ts)[:, None, None]
+    with np.errstate(all="ignore"):
+        got = _horner_many(coeffs, ts)
+        expected = np.zeros((len(ts), coeffs.shape[0], 8))
+        for k in range(coeffs.shape[1] - 1, -1, -1):
+            expected = expected * t + coeffs[:, k]
+    assert np.array_equal(got, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
 
 
 @st.composite

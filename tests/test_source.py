@@ -88,7 +88,7 @@ def test_only_the_numpy_handle_imports_numpy():
 
 
 MAX_DEFAULTED_PARAMETERS = 3
-MAX_SOURCE_LINES = 2832
+MAX_SOURCE_LINES = 2842
 
 
 def test_source_lines_stay_at_the_ceiling():
